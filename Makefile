@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-exchange test-chaos lint bench bench-smoke bench-scaling bench-scaling-smoke bench-serve bench-serve-smoke bench-skew bench-skew-smoke bench-full
+.PHONY: test test-exchange test-chaos perfbench-smoke lint bench bench-smoke bench-scaling bench-scaling-smoke bench-serve bench-serve-smoke bench-skew bench-skew-smoke bench-full
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -19,6 +19,14 @@ test-exchange:
 test-chaos:
 	$(PYTHON) -m pytest tests/test_chaos.py -q
 	$(PYTHON) -m repro chaos seeds=0,1,2 workers=1,4
+
+# The repository benchmark's own tests: a tiny pass of every workload
+# (perfbench/).  It is the guard that every program hook the trace
+# patches (Network.send_batches, ExecutionProfile.add_net*, ...) still
+# resolves — a missing hook only shows up in a record's hooks_absent
+# and does not fail a benchmark run.
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench -q
 
 # Static analysis: the project's REP determinism/aliasing rules plus
 # the whole-package REP007-REP011 dataflow pass always run; ruff and

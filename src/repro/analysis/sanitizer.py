@@ -2,9 +2,11 @@
 
 The network ships payloads zero-copy (see :mod:`repro.cluster.network`):
 a sender must not mutate an array's buffers after handing it to
-``send``.  The static REP005 rule catches the lexically obvious cases;
-this module catches the rest at runtime.  While enabled, every numpy
-array reachable from a payload staged by a lane-bound send — including
+``send_batches``.  The static REP005 rule catches the lexically obvious
+cases; this module catches the rest at runtime.  While enabled, every
+numpy array reachable from a payload staged by a lane-bound send — the
+hook sits on the network's single staging point, so every row's
+payloads pass through it — including
 the arrays inside :class:`~repro.storage.table.LocalPartition` batches
 and the view's base chain, so writes through the original buffer are
 caught too — is marked read-only until the phase barrier
@@ -234,10 +236,11 @@ def _thaw_network(network: Network) -> None:
             array.flags.writeable = True
 
 
-def _sanitized_send(self: Network, src, dst, category, nbytes, payload=None):
-    _saved["send"](self, src, dst, category, nbytes, payload)
-    if getattr(self._tls, "lane", None) is not None:
-        _freeze_payload(self, payload)
+def _sanitized_stage_row(self: Network, src, category, dsts, nbytes, payloads):
+    _saved["stage_row"](self, src, category, dsts, nbytes, payloads)
+    if payloads is not None and getattr(self._tls, "lane", None) is not None:
+        for payload in payloads:
+            _freeze_payload(self, payload)
 
 
 def _sanitized_end_phase(self: Network) -> None:
@@ -263,10 +266,10 @@ def sanitizer_enable() -> None:
         if _depth > 1:
             return
         _race_tracker = RaceTracker()
-        _saved["send"] = Network.send
+        _saved["stage_row"] = Network._stage_row
         _saved["end_phase"] = Network.end_phase
         _saved["abort_phase"] = Network.abort_phase
-        Network.send = _sanitized_send  # type: ignore[method-assign]
+        Network._stage_row = _sanitized_stage_row  # type: ignore[method-assign]
         Network.end_phase = _sanitized_end_phase  # type: ignore[method-assign]
         Network.abort_phase = _sanitized_abort_phase  # type: ignore[method-assign]
 
@@ -281,7 +284,7 @@ def sanitizer_disable() -> None:
         if _depth > 0:
             return
         _race_tracker = None
-        Network.send = _saved.pop("send")  # type: ignore[method-assign]
+        Network._stage_row = _saved.pop("stage_row")  # type: ignore[method-assign]
         Network.end_phase = _saved.pop("end_phase")  # type: ignore[method-assign]
         Network.abort_phase = _saved.pop("abort_phase")  # type: ignore[method-assign]
 

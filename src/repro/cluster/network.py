@@ -1,12 +1,15 @@
-"""Simulated cluster interconnect with exact per-message byte accounting.
+"""Simulated cluster interconnect with exact byte accounting per message class and link.
 
 The paper measures distributed joins primarily by the *network traffic*
 they generate, broken down by message class (Figures 3-11 stack the bars
 as "Keys & Counts", "Keys & Nodes", "R Tuples", "S Tuples").  This module
 provides the fabric those experiments run on: every transfer between two
-simulated nodes goes through :meth:`Network.send`, which delivers the
-payload to the destination inbox and records its encoded size in a
-:class:`TrafficLedger`.
+simulated nodes goes through :meth:`Network.send_batches`, which takes
+one *row* per call — all of one sender's messages of one class, indexed
+by destination — delivers the payloads to the destination inboxes, and
+records the encoded sizes in a :class:`TrafficLedger`.  Accounting is
+per row, not per message: the ledger keeps one N×N byte matrix per
+message class and adds a whole row into it at once.
 
 Local sends (``src == dst``) are delivered but accounted separately, the
 same way the paper's implementation separates "local copy" from "transfer"
@@ -17,32 +20,45 @@ Concurrent senders
 The parallel engine runs many nodes' phase work at once, so accounting
 must stay deterministic under arbitrary thread interleaving.  During an
 open *phase* (:meth:`Network.begin_phase`), each task binds its own
-:class:`SendLane`: sends are staged into the lane's private message list
-and private ledger instead of touching shared state.  The phase barrier
-(:meth:`Network.end_phase`) commits lanes in task order — merging lane
-ledgers via :meth:`TrafficLedger.merge` and appending staged messages to
-the destination inboxes — so byte totals, ``by_link`` entries, and inbox
+:class:`SendLane`: its rows are staged in the lane's private row list
+and recorded in the lane's private ledger instead of touching shared
+state.  The phase barrier (:meth:`Network.end_phase`) commits lanes in
+task order — one matrix add per class merges each lane ledger
+(:meth:`TrafficLedger.merge`), and staged rows append their messages to
+the destination inboxes — so byte totals, per-link bytes, and inbox
 ordering are bit-identical for every worker count and interleaving.
 Messages staged inside a phase only become visible to :meth:`deliver`
 after the barrier, which is exactly the paper's non-pipelined phase
 semantics.
 
+Size-only rows — messages whose content the simulation reconstructs
+from shared state, such as tracking (key, count) streams and (key, node)
+location lists — are accounted in full but, on the fault-free path,
+never become :class:`Message` objects or inbox entries.  They still
+take their block of sequence numbers, so numbering is the same with or
+without a fault plan.
+
 Zero-copy payloads
 ------------------
-Payloads are handed to :meth:`send` by reference: operators pass numpy
-views (e.g. the slices produced by ``LocalPartition.split_by``) and the
-network never copies them.  The copy-on-conflict rule: a sender must not
-mutate a payload's underlying buffers after handing it to ``send``; a
+Payloads are handed to :meth:`send_batches` by reference: operators
+pass numpy views (e.g. the slices produced by ``LocalPartition.split_by``)
+and the network never copies them.  The copy-on-conflict rule: a sender
+must not mutate a payload's underlying buffers after handing it over; a
 sender that intends to reuse or mutate the buffers passes ``copy=True``
 (or copies itself) so the network materializes a private snapshot at
 send time.  Receivers own what they are handed and must likewise treat
 it as immutable (they concatenate into fresh arrays when merging).
+Every validated row passes through one staging point
+(``Network._stage_row``), which is where the runtime sanitizer
+(:mod:`repro.analysis.sanitizer`) freezes lane-staged payloads until
+the barrier.
 
 Fault injection
 ---------------
 With a :class:`~repro.faults.plan.FaultPlan` installed
 (:meth:`Network.set_fault_plan`), the phase barrier additionally runs
-every committed message through the plan's
+every committed message — each entry of a row, size-only ones included,
+in row order — through the plan's
 :class:`~repro.faults.injector.FaultInjector`: messages may be dropped
 (and retransmitted with backoff on a virtual clock), duplicated,
 delayed, or reordered within a link, and :meth:`deliver` becomes
@@ -59,8 +75,10 @@ import math
 import threading
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
+
+import numpy as np
 
 from ..errors import NetworkError
 
@@ -124,53 +142,140 @@ class Message:
     seq: int = -1
 
 
-@dataclass
 class TrafficLedger:
-    """Byte counters aggregated by message class and by (src, dst) link.
+    """Byte counters of one run: a per-class N×N matrix of goodput bytes.
 
-    Goodput (first-transmission) bytes live in ``by_class``/``by_link``;
-    recovery overhead — retransmissions and wire duplicates injected by
-    a :class:`~repro.faults.plan.FaultPlan` — is accounted separately in
+    ``matrices[c][src, dst]`` holds the bytes of class ``c`` that crossed
+    the link ``src -> dst``; a class's matrix is allocated on its first
+    remote message.  Local copies (``src == dst``) never enter a matrix —
+    they only bump ``local_bytes`` — and ``message_count`` counts every
+    accounted message, local or remote.  ``by_class``, ``by_link``,
+    ``sent_by_node`` and ``received_by_node`` are views derived from the
+    matrices; links and nodes that carried no bytes are absent from
+    them.  Recording is one :meth:`record_row` per (sender, destination
+    row), and :meth:`merge` is a matrix add.
+
+    Goodput (first-transmission) bytes live in the matrices; recovery
+    overhead — retransmissions and wire duplicates injected by a
+    :class:`~repro.faults.plan.FaultPlan` — is accounted separately in
     ``retransmit_by_class``, so fault-injected runs keep a goodput
     ledger byte-identical to the fault-free run while the recovery cost
     stays measurable alongside the paper's byte breakdowns.  On the
     fault-free fast path the retransmit counters are provably zero
     (nothing ever records into them).
+
+    ``num_nodes`` sizes the matrices up front; a ledger created without
+    it grows them to the largest node index it is handed.
     """
 
-    by_class: dict[MessageClass, float] = field(
-        default_factory=lambda: defaultdict(float)
-    )
-    by_link: dict[tuple[int, int], float] = field(default_factory=lambda: defaultdict(float))
-    sent_by_node: dict[int, float] = field(default_factory=lambda: defaultdict(float))
-    received_by_node: dict[int, float] = field(default_factory=lambda: defaultdict(float))
-    local_bytes: float = 0.0
-    message_count: int = 0
-    retransmit_by_class: dict[MessageClass, float] = field(
-        default_factory=lambda: defaultdict(float)
-    )
-    retransmit_count: int = 0
+    def __init__(self, num_nodes: int = 0):
+        self.num_nodes = num_nodes
+        self.matrices: dict[MessageClass, np.ndarray] = {}
+        self.local_bytes = 0.0
+        self.message_count = 0
+        self.retransmit_by_class: dict[MessageClass, float] = defaultdict(float)
+        self.retransmit_count = 0
+
+    def _grow(self, num_nodes: int) -> None:
+        """Widen every matrix to ``num_nodes`` square (zero-padded)."""
+        if num_nodes <= self.num_nodes:
+            return
+        for category, matrix in self.matrices.items():
+            wider = np.zeros((num_nodes, num_nodes))
+            wider[: self.num_nodes, : self.num_nodes] = matrix
+            self.matrices[category] = wider
+        self.num_nodes = num_nodes
+
+    def record_row(
+        self,
+        src: int,
+        category: MessageClass,
+        dsts: np.ndarray,
+        nbytes: np.ndarray,
+    ) -> None:
+        """Account one row: messages from ``src`` to ``dsts[i]`` of ``nbytes[i]``.
+
+        ``dsts`` (int64) and ``nbytes`` (float64) are parallel arrays and
+        may repeat a destination.  Entries addressed to ``src`` itself
+        are local copies.  Callers validate the entries
+        (:meth:`Network.send_batches` does).
+        """
+        if len(dsts) == 0:
+            return
+        self.message_count += len(dsts)
+        row = np.bincount(dsts, weights=nbytes, minlength=self.num_nodes)
+        if len(row) > self.num_nodes or src >= self.num_nodes:
+            self._grow(max(len(row), src + 1))
+            row = np.bincount(dsts, weights=nbytes, minlength=self.num_nodes)
+        local = row[src]
+        self.local_bytes += float(local)
+        matrix = self.matrices.get(category)
+        if matrix is None:
+            if not (dsts != src).any():
+                return
+            matrix = self.matrices[category] = np.zeros((self.num_nodes, self.num_nodes))
+        row[src] = 0.0
+        matrix[src] += row
 
     def record(self, msg: Message) -> None:
         """Account one message; local messages only bump ``local_bytes``."""
-        self.message_count += 1
-        if msg.src == msg.dst:
-            self.local_bytes += msg.nbytes
-            return
-        self.by_class[msg.category] += msg.nbytes
-        self.by_link[(msg.src, msg.dst)] += msg.nbytes
-        self.sent_by_node[msg.src] += msg.nbytes
-        self.received_by_node[msg.dst] += msg.nbytes
+        self.record_row(
+            msg.src,
+            msg.category,
+            np.array([msg.dst], dtype=np.int64),
+            np.array([msg.nbytes], dtype=np.float64),
+        )
 
     def record_retransmit(self, category: MessageClass, nbytes: float) -> None:
         """Account one retransmitted (or duplicated) wire copy.
 
-        Kept apart from :meth:`record`: retransmissions are recovery
+        Kept apart from :meth:`record_row`: retransmissions are recovery
         overhead, not goodput, and must never perturb ``total_bytes``
         or the per-class breakdowns the paper's figures compare.
         """
         self.retransmit_by_class[category] += nbytes
         self.retransmit_count += 1
+
+    # -- views -----------------------------------------------------------
+
+    def link_bytes(self) -> np.ndarray:
+        """N×N goodput bytes per link, summed over message classes."""
+        total = np.zeros((self.num_nodes, self.num_nodes))
+        for matrix in self.matrices.values():
+            total += matrix
+        return total
+
+    @property
+    def by_class(self) -> dict[MessageClass, float]:
+        """Remote bytes per message class (classes with remote messages)."""
+        return {category: float(m.sum()) for category, m in self.matrices.items()}
+
+    @property
+    def by_link(self) -> dict[tuple[int, int], float]:
+        """Remote bytes per ``(src, dst)`` link that carried any."""
+        links = self.link_bytes()
+        srcs, dsts = np.nonzero(links)
+        return {
+            (src, dst): nbytes
+            for src, dst, nbytes in zip(
+                srcs.tolist(), dsts.tolist(), links[srcs, dsts].tolist()
+            )
+        }
+
+    @staticmethod
+    def _nonzero(per_node: np.ndarray) -> dict[int, float]:
+        nodes = np.flatnonzero(per_node)
+        return dict(zip(nodes.tolist(), per_node[nodes].tolist()))
+
+    @property
+    def sent_by_node(self) -> dict[int, float]:
+        """Remote bytes sent per node (nodes that sent any)."""
+        return self._nonzero(self.link_bytes().sum(axis=1))
+
+    @property
+    def received_by_node(self) -> dict[int, float]:
+        """Remote bytes received per node (nodes that received any)."""
+        return self._nonzero(self.link_bytes().sum(axis=0))
 
     @property
     def total_bytes(self) -> float:
@@ -202,7 +307,8 @@ class TrafficLedger:
 
     def breakdown(self) -> dict[str, float]:
         """Human-readable byte breakdown keyed by message-class value."""
-        return {c.value: float(self.by_class.get(c, 0.0)) for c in MessageClass}
+        by_class = self.by_class
+        return {c.value: float(by_class.get(c, 0.0)) for c in MessageClass}
 
     def retransmit_breakdown(self) -> dict[str, float]:
         """Recovery-overhead bytes keyed by message-class value."""
@@ -213,19 +319,18 @@ class TrafficLedger:
     def merge(self, other: "TrafficLedger") -> "TrafficLedger":
         """Accumulate ``other`` into this ledger in place; returns ``self``.
 
-        Merging is order-insensitive for the dyadic-rational sizes the
-        encodings produce (all sums are exact in float64), which is what
-        lets the phase barrier combine per-worker ledgers into totals
-        identical to a serial run.
+        A matrix add per class.  Merging is order-insensitive for the
+        dyadic-rational sizes the encodings produce (all sums are exact
+        in float64), which is what lets the phase barrier combine
+        per-worker ledgers into totals identical to a serial run.
         """
-        for category, nbytes in other.by_class.items():
-            self.by_class[category] += nbytes
-        for link, nbytes in other.by_link.items():
-            self.by_link[link] += nbytes
-        for node, nbytes in other.sent_by_node.items():
-            self.sent_by_node[node] += nbytes
-        for node, nbytes in other.received_by_node.items():
-            self.received_by_node[node] += nbytes
+        self._grow(other.num_nodes)
+        size = other.num_nodes
+        for category, matrix in other.matrices.items():
+            mine = self.matrices.get(category)
+            if mine is None:
+                mine = self.matrices[category] = np.zeros((self.num_nodes, self.num_nodes))
+            mine[:size, :size] += matrix
         self.local_bytes += other.local_bytes
         self.message_count += other.message_count
         for category, nbytes in other.retransmit_by_class.items():
@@ -238,19 +343,25 @@ class TrafficLedger:
         return TrafficLedger().merge(self).merge(other)
 
 
+#: One staged row: ``(src, category, dsts, nbytes, payloads)``, where
+#: ``payloads`` is a list parallel to ``dsts`` or ``None`` for a
+#: size-only row.
+Row = tuple[int, MessageClass, np.ndarray, np.ndarray, "list[Any] | None"]
+
+
 class SendLane:
     """Per-task staging buffer used while a network phase is open.
 
-    A lane collects one task's outgoing messages and their byte
-    accounting privately, so concurrent tasks never contend on shared
-    state; the phase barrier commits lanes in task order.
+    A lane collects one task's outgoing rows and their byte accounting
+    privately, so concurrent tasks never contend on shared state; the
+    phase barrier commits lanes in task order.
     """
 
-    __slots__ = ("messages", "ledger")
+    __slots__ = ("rows", "ledger")
 
-    def __init__(self) -> None:
-        self.messages: list[Message] = []
-        self.ledger = TrafficLedger()
+    def __init__(self, num_nodes: int) -> None:
+        self.rows: list[Row] = []
+        self.ledger = TrafficLedger(num_nodes)
 
 
 class Network:
@@ -258,17 +369,18 @@ class Network:
 
     The fabric is symmetric and fully connected (every node can send to
     all others, all links have the same performance), mirroring the
-    cluster assumptions of Section 2.  Operators send with :meth:`send`
-    and drain destination inboxes at phase boundaries with
-    :meth:`deliver`, which mimics the barrier-synchronised, non-pipelined
-    implementation the paper evaluates in Section 4.2.
+    cluster assumptions of Section 2.  Operators send one row per call
+    with :meth:`send_batches` and drain destination inboxes at phase
+    boundaries with :meth:`deliver`, which mimics the
+    barrier-synchronised, non-pipelined implementation the paper
+    evaluates in Section 4.2.
     """
 
     def __init__(self, num_nodes: int):
         if num_nodes <= 0:
             raise NetworkError(f"a cluster needs at least one node, got {num_nodes}")
         self.num_nodes = num_nodes
-        self.ledger = TrafficLedger()
+        self.ledger = TrafficLedger(num_nodes)
         self._inboxes: list[list[Message]] = [[] for _ in range(num_nodes)]
         self._phase_lanes: list[SendLane] | None = None
         self._tls = threading.local()
@@ -291,15 +403,17 @@ class Network:
 
         self.faults = FaultInjector(plan)
 
-    def _assign_seq(self, msg: Message) -> None:
-        """Stamp the next global sequence number (commit order)."""
-        msg.seq = self._next_seq
-        self._next_seq += 1
-
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise NetworkError(
                 f"node index {node} out of range for {self.num_nodes}-node cluster"
+            )
+
+    @staticmethod
+    def _check_size(nbytes: float) -> None:
+        if not 0 <= nbytes < math.inf:
+            raise NetworkError(
+                f"message size must be finite and non-negative, got {nbytes}"
             )
 
     # -- phases and lanes ------------------------------------------------
@@ -315,7 +429,7 @@ class Network:
         """
         if self._phase_lanes is not None:
             raise NetworkError("a network phase is already open (missing barrier?)")
-        self._phase_lanes = [SendLane() for _ in range(num_lanes)]
+        self._phase_lanes = [SendLane(self.num_nodes) for _ in range(num_lanes)]
         if self.faults is not None:
             self.faults.begin_phase()
         return self._phase_lanes
@@ -333,7 +447,7 @@ class Network:
     def end_phase(self) -> None:
         """Barrier: commit all lanes in task order and close the phase.
 
-        Lane ledgers merge into the master ledger and staged messages
+        Lane ledgers merge into the master ledger and staged rows
         append to the destination inboxes, both in lane (= task) order,
         making the committed state independent of execution order.
         """
@@ -344,9 +458,8 @@ class Network:
         if self.faults is None:
             for lane in lanes:
                 self.ledger.merge(lane.ledger)
-                for msg in lane.messages:
-                    self._assign_seq(msg)
-                    self._inboxes[msg.dst].append(msg)
+                for row in lane.rows:
+                    self._enqueue_row(*row)
             return
         # Fault-injected barrier: goodput accounting is identical (lane
         # ledgers merge unchanged), then every destination's staged
@@ -358,9 +471,9 @@ class Network:
         staged: dict[int, list[Message]] = {}
         for lane in lanes:
             self.ledger.merge(lane.ledger)
-            for msg in lane.messages:
-                self._assign_seq(msg)
-                staged.setdefault(msg.dst, []).append(msg)
+            for row in lane.rows:
+                for msg in self._row_messages(*row):
+                    staged.setdefault(msg.dst, []).append(msg)
         for dst in sorted(staged):
             self._inboxes[dst].extend(
                 self.faults.commit_batch(dst, staged[dst], self.ledger)
@@ -381,64 +494,167 @@ class Network:
         nbytes: float,
         payload: Any = None,
     ) -> None:
-        """Send one message from ``src`` to ``dst`` and account its size.
+        """Send one message from ``src`` to ``dst``: a one-entry row.
 
-        The payload is handed over zero-copy (see the module notes for
-        the copy-on-conflict rule).  Inside an open phase with a bound
-        lane, the message is staged and becomes visible at the barrier.
+        The message is delivered even without a payload; see
+        :meth:`send_batches` for staging and validation.
         """
-        self._check_node(src)
-        self._check_node(dst)
-        if not math.isfinite(nbytes) or nbytes < 0:
-            raise NetworkError(
-                f"message size must be finite and non-negative, got {nbytes}"
-            )
-        msg = Message(src=src, dst=dst, category=category, nbytes=float(nbytes), payload=payload)
-        lane: SendLane | None = getattr(self._tls, "lane", None)
-        if lane is not None:
-            lane.ledger.record(msg)
-            lane.messages.append(msg)
-            return
-        self.ledger.record(msg)
-        self._assign_seq(msg)
-        if self.faults is not None and src != dst:
-            # Immediate (coordinator) sends run the fault model at send
-            # time; the coordinator is single-threaded, so draw order
-            # stays deterministic.
-            self._inboxes[dst].extend(self.faults.transmit(msg, self.ledger))
-            return
-        self._inboxes[dst].append(msg)
+        self.send_batches(src, category, [payload], dsts=[dst], nbytes=[nbytes])
 
     def send_batches(
         self,
         src: int,
         category: MessageClass,
-        batches: Sequence[Any],
-        width: float,
+        batches: Sequence[Any] | None,
+        width: float = 0.0,
+        *,
+        dsts: Sequence[int] | np.ndarray | None = None,
+        nbytes: Sequence[float] | np.ndarray | None = None,
         copy: bool = False,
-    ) -> list[tuple[int, float]]:
-        """Coalesced per-destination send of one scatter's batch list.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Send one row of messages from ``src``; the only send path.
 
-        ``batches`` is indexed by destination (the shape produced by
-        ``LocalPartition.split_by``); ``None`` entries are skipped and
-        each remaining batch becomes exactly one message of
-        ``batch.num_rows * width`` bytes.  Payloads are handed off as
-        zero-copy views unless ``copy=True``, which snapshots each batch
-        for senders that will mutate the underlying buffers afterwards
-        (the copy-on-conflict rule).
+        A row comes in one of two shapes:
 
-        Returns ``(dst, nbytes)`` for every message sent, in destination
-        order, so callers can account profile work without re-deriving
-        sizes.
+        - **destination-indexed batches** (``dsts`` omitted): the list
+          ``LocalPartition.split_by`` produces; ``None`` entries are
+          skipped and each remaining batch becomes one message of
+          ``batch.num_rows * width`` bytes to its index;
+        - **explicit entries**: ``dsts`` and ``nbytes`` are parallel
+          arrays, one message per entry (destinations may repeat).
+          ``batches`` is then a payload list parallel to ``dsts``, or
+          ``None`` for a *size-only* row: its messages are accounted in
+          full, but on the fault-free path they are never materialized
+          as :class:`Message` objects or inbox entries — nobody reads a
+          payload that does not exist.  Under a fault plan every entry
+          still becomes one message, so the fault model sees the same
+          message stream either way.
+
+        The whole row is validated before anything is accounted: node
+        indices must be in range and sizes finite and non-negative,
+        else :class:`~repro.errors.NetworkError`.  Payloads are handed
+        off as zero-copy views unless ``copy=True``, which snapshots
+        each one for senders that will mutate the underlying buffers
+        afterwards (the copy-on-conflict rule).
+
+        Returns the row's ``(dsts, nbytes)`` arrays, in send order, so
+        callers can account profile work without re-deriving sizes.
         """
-        sent: list[tuple[int, float]] = []
-        for dst, batch in enumerate(batches):
-            if batch is None:
-                continue
-            nbytes = batch.num_rows * width
-            self.send(src, dst, category, nbytes, payload=batch.copy() if copy else batch)
-            sent.append((dst, nbytes))
-        return sent
+        self._check_node(src)
+        if dsts is None:
+            if batches is None:
+                raise NetworkError("a size-only row needs explicit dsts and nbytes")
+            if len(batches) > self.num_nodes:
+                raise NetworkError(
+                    f"{len(batches)} destination batches for a "
+                    f"{self.num_nodes}-node cluster"
+                )
+            # Row counts are non-negative, so the width alone decides
+            # whether every size is valid.
+            self._check_size(width)
+            present = [dst for dst, batch in enumerate(batches) if batch is not None]
+            payloads: list[Any] | None = [batches[dst] for dst in present]
+            row_dsts = np.array(present, dtype=np.int64)
+            sizes = np.array([batch.num_rows for batch in payloads], dtype=np.float64) * width
+        else:
+            if nbytes is None:
+                raise NetworkError("explicit dsts need parallel nbytes")
+            row_dsts = np.asarray(dsts, dtype=np.int64).reshape(-1)
+            sizes = np.asarray(nbytes, dtype=np.float64).reshape(-1)
+            payloads = None if batches is None else list(batches)
+            if len(sizes) != len(row_dsts) or (
+                payloads is not None and len(payloads) != len(row_dsts)
+            ):
+                raise NetworkError(
+                    f"row of {len(row_dsts)} destinations got {len(sizes)} sizes"
+                    + ("" if payloads is None else f" and {len(payloads)} payloads")
+                )
+            if len(row_dsts):
+                # Viewed unsigned, negative indices wrap above any node
+                # count; NaN fails both size comparisons.
+                if np.maximum.reduce(row_dsts.view(np.uint64)) >= self.num_nodes:
+                    bad = (row_dsts < 0) | (row_dsts >= self.num_nodes)
+                    self._check_node(int(row_dsts[bad][0]))
+                if not (
+                    np.minimum.reduce(sizes) >= 0
+                    and np.maximum.reduce(sizes) < math.inf
+                ):
+                    self._check_size(sizes[~((sizes >= 0) & (sizes < math.inf))][0])
+        if copy and payloads is not None:
+            payloads = [None if p is None else p.copy() for p in payloads]
+        self._stage_row(src, category, row_dsts, sizes, payloads)
+        return row_dsts, sizes
+
+    def _stage_row(
+        self,
+        src: int,
+        category: MessageClass,
+        dsts: np.ndarray,
+        nbytes: np.ndarray,
+        payloads: list[Any] | None,
+    ) -> None:
+        """The single staging point of every validated row.
+
+        Inside an open phase with a bound lane, the row is staged and
+        becomes visible at the barrier; otherwise (the coordinator) it
+        is accounted and enqueued immediately.
+        """
+        lane: SendLane | None = getattr(self._tls, "lane", None)
+        if lane is not None:
+            lane.ledger.record_row(src, category, dsts, nbytes)
+            lane.rows.append((src, category, dsts, nbytes, payloads))
+            return
+        self.ledger.record_row(src, category, dsts, nbytes)
+        if self.faults is None:
+            self._enqueue_row(src, category, dsts, nbytes, payloads)
+            return
+        # Immediate (coordinator) sends run the fault model at send
+        # time; the coordinator is single-threaded, so draw order stays
+        # deterministic.
+        for msg in self._row_messages(src, category, dsts, nbytes, payloads):
+            if msg.src == msg.dst:
+                self._inboxes[msg.dst].append(msg)
+            else:
+                self._inboxes[msg.dst].extend(self.faults.transmit(msg, self.ledger))
+
+    def _row_messages(
+        self,
+        src: int,
+        category: MessageClass,
+        dsts: np.ndarray,
+        nbytes: np.ndarray,
+        payloads: list[Any] | None,
+    ) -> list[Message]:
+        """Materialize every entry of a row, stamping its sequence block."""
+        start = self._next_seq
+        self._next_seq += len(dsts)
+        if payloads is None:
+            payloads = [None] * len(dsts)
+        return [
+            Message(src, dst, category, size, payload, start + offset)
+            for offset, (dst, size, payload) in enumerate(
+                zip(dsts.tolist(), nbytes.tolist(), payloads)
+            )
+        ]
+
+    def _enqueue_row(
+        self,
+        src: int,
+        category: MessageClass,
+        dsts: np.ndarray,
+        nbytes: np.ndarray,
+        payloads: list[Any] | None,
+    ) -> None:
+        """Fault-free commit: payload entries land in their inboxes.
+
+        A size-only row only advances the sequence counter, keeping
+        sequence numbers identical to a faulted run's.
+        """
+        if payloads is None:
+            self._next_seq += len(dsts)
+            return
+        for msg in self._row_messages(src, category, dsts, nbytes, payloads):
+            self._inboxes[msg.dst].append(msg)
 
     # -- delivery --------------------------------------------------------
 
@@ -500,11 +716,17 @@ class Network:
         """Number of sent-but-undelivered messages (should be 0 after a join).
 
         Counts both committed inbox messages and messages staged in an
-        open phase's lanes.
+        open phase's lanes; fault-free size-only entries never reach an
+        inbox and are not counted.
         """
         pending = sum(len(inbox) for inbox in self._inboxes)
         if self._phase_lanes is not None:
-            pending += sum(len(lane.messages) for lane in self._phase_lanes)
+            pending += sum(
+                len(dsts)
+                for lane in self._phase_lanes
+                for _src, _category, dsts, _nbytes, payloads in lane.rows
+                if payloads is not None or self.faults is not None
+            )
         return pending
 
     def reset_ledger(self) -> TrafficLedger:

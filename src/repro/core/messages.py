@@ -37,17 +37,19 @@ def tracking_message_bytes(
 
 
 def location_message_bytes(
-    num_pairs: int,
-    num_distinct_nodes: int,
+    num_pairs,
+    num_distinct_nodes,
     key_width: float,
     location_width: float,
     group_by_node: bool = False,
-) -> float:
+):
     """Size of a message carrying (key, node) pairs.
 
     Plain form repeats the node id for every key.  The grouped form
     (Section 2.4: "sending many keys with a single node label after
     partitioning by node") pays each distinct node label once.
+    ``num_pairs``/``num_distinct_nodes`` may be scalars or parallel
+    integer arrays (one entry per message); the result has their shape.
     """
     if group_by_node:
         return num_pairs * key_width + num_distinct_nodes * location_width

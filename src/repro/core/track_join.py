@@ -335,36 +335,36 @@ def _execute_schedules(
             elif msg.category is MessageClass.S_TUPLES:
                 received["S"].append(msg.payload)
         parts: list[LocalPartition] = []
+        cpu_steps: list[tuple[str, str, float]] = []
         if received["R"]:
             batch = LocalPartition.concat(received["R"])
-            profile.add_cpu_at(
-                "Merge rec. R → S tuples", "sort", node, batch.num_rows * widths["R"]
-            )
             joined = local_join(batch, work["S"][node], "r.", "s.")
-            profile.add_cpu_at(
-                "Final merge-join R → S",
-                "merge",
-                node,
-                batch.num_rows * widths["R"]
-                + work["S"][node].num_rows * widths["S"]
-                + joined.num_rows * out_width,
-            )
+            cpu_steps += [
+                ("Merge rec. R → S tuples", "sort", batch.num_rows * widths["R"]),
+                (
+                    "Final merge-join R → S",
+                    "merge",
+                    batch.num_rows * widths["R"]
+                    + work["S"][node].num_rows * widths["S"]
+                    + joined.num_rows * out_width,
+                ),
+            ]
             parts.append(joined)
         if received["S"]:
             batch = LocalPartition.concat(received["S"])
-            profile.add_cpu_at(
-                "Merge rec. S → R tuples", "sort", node, batch.num_rows * widths["S"]
-            )
             joined = local_join(work["R"][node], batch, "r.", "s.")
-            profile.add_cpu_at(
-                "Final merge-join S → R",
-                "merge",
-                node,
-                batch.num_rows * widths["S"]
-                + work["R"][node].num_rows * widths["R"]
-                + joined.num_rows * out_width,
-            )
+            cpu_steps += [
+                ("Merge rec. S → R tuples", "sort", batch.num_rows * widths["S"]),
+                (
+                    "Final merge-join S → R",
+                    "merge",
+                    batch.num_rows * widths["S"]
+                    + work["R"][node].num_rows * widths["R"]
+                    + joined.num_rows * out_width,
+                ),
+            ]
             parts.append(joined)
+        profile.add_cpu_steps(node, cpu_steps)
         if parts:
             return LocalPartition.concat(parts)
         return LocalPartition.empty(out_names)

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
+from ..exchange.base import send_to
 from ..fastpath import fused_enabled
 from ..storage.table import DistributedTable
 from ..timing.profile import ExecutionProfile
@@ -112,27 +113,28 @@ def run_tracking_phase(
         side, table, width, count_width = sides[task // num_nodes]
         node = task % num_nodes
         partition = table.partitions[node]
-        # Local sort + key aggregation (dedup) before tracking.
-        profile.add_cpu_at(
-            f"Sort local {side} tuples", "sort", node, partition.num_rows * width
-        )
         if fused:
             distinct, counts = partition.distinct_with_counts()
         else:
             distinct, counts = np.unique(partition.keys, return_counts=True)
-        profile.add_cpu_at(
-            "Aggregate keys", "aggregate", node, partition.num_rows * key_width
-        )
+        # Local sort + key aggregation (dedup) before tracking, then the
+        # hash partitioning of the (key [, count]) entries to ship.
+        cpu_steps = [
+            (f"Sort local {side} tuples", "sort", partition.num_rows * width),
+            ("Aggregate keys", "aggregate", partition.num_rows * key_width),
+        ]
+        if len(distinct):
+            cpu_steps.append(
+                (
+                    "Hash part. keys, counts",
+                    "partition",
+                    len(distinct) * (key_width + (count_width if with_counts else 0)),
+                )
+            )
+        profile.add_cpu_steps(node, cpu_steps)
         if len(distinct) == 0:
             return None
         sizes = counts.astype(np.float64) * width
-        # Ship (key [, count]) entries to each key's scheduling node.
-        profile.add_cpu_at(
-            "Hash part. keys, counts",
-            "partition",
-            node,
-            len(distinct) * (key_width + (count_width if with_counts else 0)),
-        )
         if fused:
             plan = partition.distinct_scatter_plan(num_nodes, spec.hash_seed)
             order, boundaries = plan.order, plan.bounds
@@ -140,30 +142,31 @@ def run_tracking_phase(
             t_of_key = hash_partition(distinct, num_nodes, spec.hash_seed)
             order = np.argsort(t_of_key, kind="stable")
             boundaries = np.searchsorted(t_of_key[order], np.arange(num_nodes + 1))
-        for dst in range(num_nodes):
-            rows = order[boundaries[dst] : boundaries[dst + 1]]
-            if len(rows) == 0:
-                continue
-            if fused and not spec.delta_keys:
-                # Plain-coded tracking messages are sized purely by
-                # entry count; skip materializing the key groups.
-                nbytes = len(rows) * key_width + len(rows) * (
-                    count_width if with_counts else 0.0
-                )
-            else:
-                nbytes = tracking_message_bytes(
-                    distinct[rows],
+        entries = np.diff(boundaries)
+        dsts = np.flatnonzero(entries)
+        if fused and not spec.delta_keys:
+            # Plain-coded tracking messages are sized purely by entry
+            # count; skip materializing the key groups.
+            per_entry = entries[dsts]
+            nbytes = per_entry * key_width + per_entry * (
+                count_width if with_counts else 0.0
+            )
+        else:
+            nbytes = [
+                tracking_message_bytes(
+                    distinct[order[boundaries[dst] : boundaries[dst + 1]]],
                     key_width,
                     count_width if with_counts else 0.0,
                     delta_keys=spec.delta_keys,
                 )
-            cluster.network.send(
-                node, dst, MessageClass.KEYS_COUNTS, nbytes, payload=None
-            )
-            if node == dst:
-                profile.add_local("Local copy key, count", node, nbytes)
-            else:
-                profile.add_net_at("Transfer key, count", node, nbytes)
+                for dst in dsts
+            ]
+        # The scheduling nodes rebuild the tracked state from the
+        # returned streams, so the messages are size-only.
+        send_to(
+            cluster, profile, MessageClass.KEYS_COUNTS, node, dsts, nbytes,
+            "Transfer key, count", "Local copy key, count",
+        )
         return side, node, distinct, sizes
 
     # One task per (side, node): R partitions first, then S, so the
@@ -195,8 +198,9 @@ def run_tracking_phase(
                 np.zeros(len(distinct), dtype=np.float64)
             )
 
-    # Drain the tracking inboxes (payloads carry no data; the union table
-    # below is the logically-equivalent global state).
+    # Drain the tracking inboxes (size-only messages reach them only
+    # under a fault plan; the union table below is the
+    # logically-equivalent global state).
     for _node, _messages in cluster.network.deliver_all():
         pass
 

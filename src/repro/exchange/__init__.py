@@ -21,13 +21,14 @@ Operator               Pattern
 :class:`Gather`        barrier drains of per-node inboxes
 =====================  =====================================================
 
-All sends go through :meth:`Network.send`, so inside a cluster phase
-they stage in the calling task's ``SendLane`` and commit
+All sends go through :meth:`Network.send_batches`, one row per sending
+task and message class, so inside a cluster phase they stage in the
+calling task's ``SendLane`` and commit
 deterministically at the barrier — ledgers, profiles, and arrival
 orders are bit-identical for any worker count.
 """
 
-from .base import account_transfer, send_rows, send_split
+from .base import send_split, send_to
 from .broadcast import Broadcast, replicate_size
 from .gather import Gather, absorb_received, drain_category, drain_payloads, flush
 from .locations import LocationExchange
@@ -44,9 +45,8 @@ __all__ = [
     "ShardedMigrate",
     "LocationExchange",
     "Gather",
-    "account_transfer",
-    "send_rows",
     "send_split",
+    "send_to",
     "replicate_size",
     "drain_category",
     "drain_payloads",

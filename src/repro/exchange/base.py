@@ -4,66 +4,61 @@ Every distributed operator in the library moves data through the same
 handful of communication patterns — hash scatter, replication, directed
 (location-driven) sends, consolidation, and barrier drains.  The classes
 in :mod:`repro.exchange` package those patterns as first-class
-*exchange operators*; this module holds what they share:
+*exchange operators*; this module holds what they share — one call per
+sending task and message class, never one per message:
 
-- :func:`account_transfer` — the uniform profile attribution of one
-  send: local sends are "Local copy ..." steps, remote sends are
-  network-transfer steps (the paper separates the two in Tables 3-4);
-- :func:`send_rows` — ship one tuple batch with wire-size accounting
-  (``rows × width``) under a :class:`~repro.cluster.network.MessageClass`;
 - :func:`send_split` — the per-destination batch list produced by
-  ``LocalPartition.split_by``/``hash_split`` sent as one message per
-  destination, with the accounting for each.
+  ``LocalPartition.split_by``/``hash_split`` sent as one row, wire size
+  ``rows × width`` per batch;
+- :func:`send_to` — one row with explicit destinations and sizes,
+  optionally size-only (accounting messages whose content the
+  simulation reconstructs from shared state).
 
-All sends go through :meth:`Network.send`, so inside an open cluster
-phase they are staged in the calling task's
-:class:`~repro.cluster.network.SendLane` and committed deterministically
-at the barrier — exchange operators never bypass the staging contract.
+Both account the row on the profile with
+:meth:`~repro.timing.profile.ExecutionProfile.add_net_row`: local sends
+are "Local copy ..." steps, remote sends are network-transfer steps (the
+paper separates the two in Tables 3-4).  All sends go through
+:meth:`Network.send_batches`, so inside an open cluster phase they are
+staged in the calling task's :class:`~repro.cluster.network.SendLane`
+and committed deterministically at the barrier — exchange operators
+never bypass the staging contract.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
 from ..storage.table import LocalPartition
 from ..timing.profile import ExecutionProfile
 
-__all__ = ["account_transfer", "send_rows", "send_split"]
+__all__ = ["send_split", "send_to"]
 
 
-def account_transfer(
-    profile: ExecutionProfile,
-    src: int,
-    dst: int,
-    nbytes: float,
-    transfer_step: str,
-    local_step: str,
-) -> None:
-    """Attribute one send to the profile: local copy or network transfer."""
-    if src == dst:
-        profile.add_local(local_step, src, nbytes)
-    else:
-        profile.add_net_at(transfer_step, src, nbytes)
-
-
-def send_rows(
+def send_to(
     cluster: Cluster,
     profile: ExecutionProfile,
     category: MessageClass,
     src: int,
-    dst: int,
-    rows: LocalPartition,
-    width: float,
+    dsts,
+    nbytes,
     transfer_step: str,
-    local_step: str,
-) -> float:
-    """Ship one batch of tuples; returns the accounted wire size."""
-    nbytes = rows.num_rows * width
-    cluster.network.send(src, dst, category, nbytes, payload=rows)
-    account_transfer(profile, src, dst, nbytes, transfer_step, local_step)
-    return nbytes
+    local_step: str | None,
+    payloads: Sequence[Any] | None = None,
+) -> None:
+    """Send one row of explicit ``(dst, nbytes)`` entries from ``src``.
+
+    ``payloads`` is parallel to ``dsts``, or ``None`` for a size-only
+    row.  With ``local_step=None`` self-sends are accounted on the
+    ledger but not on the profile.
+    """
+    dsts, nbytes = cluster.network.send_batches(
+        src, category, payloads, dsts=dsts, nbytes=nbytes
+    )
+    profile.add_net_row(transfer_step, local_step, src, dsts, nbytes)
 
 
 def send_split(
@@ -76,29 +71,23 @@ def send_split(
     transfer_step: str,
     local_step: str,
     payload_of: Callable[[LocalPartition], Any] | None = None,
-) -> list[tuple[int, float]]:
-    """Send one scatter's per-destination batch list, accounting each.
+) -> None:
+    """Send one scatter's per-destination batch list as one row.
 
     ``batches`` is indexed by destination node (the shape produced by
     ``LocalPartition.split_by``); ``None`` entries are skipped.  With
     ``payload_of`` the wire payload is derived from each batch (e.g. the
     MapReduce engine tags batches with their channel name); otherwise
-    batches travel zero-copy through
-    :meth:`~repro.cluster.network.Network.send_batches`.
-
-    Returns ``(dst, nbytes)`` per message, in destination order.
+    batches travel zero-copy.
     """
     if payload_of is None:
-        sent = cluster.network.send_batches(src, category, batches, width)
-        for dst, nbytes in sent:
-            account_transfer(profile, src, dst, nbytes, transfer_step, local_step)
-        return sent
-    sent = []
-    for dst, batch in enumerate(batches):
-        if batch is None:
-            continue
-        nbytes = batch.num_rows * width
-        cluster.network.send(src, dst, category, nbytes, payload=payload_of(batch))
-        account_transfer(profile, src, dst, nbytes, transfer_step, local_step)
-        sent.append((dst, nbytes))
-    return sent
+        dsts, nbytes = cluster.network.send_batches(src, category, batches, width)
+        profile.add_net_row(transfer_step, local_step, src, dsts, nbytes)
+        return
+    present = [dst for dst, batch in enumerate(batches) if batch is not None]
+    rows = np.array([batches[dst].num_rows for dst in present], dtype=np.float64)
+    send_to(
+        cluster, profile, category, src, present, rows * width,
+        transfer_step, local_step,
+        payloads=[payload_of(batches[dst]) for dst in present],
+    )

@@ -15,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
 from ..storage.table import LocalPartition
 from ..timing.profile import ExecutionProfile
-from .base import send_rows
+from .base import send_to
 
 __all__ = ["Broadcast", "replicate_size"]
 
@@ -61,13 +63,12 @@ class Broadcast:
                 src,
                 fragment.num_rows * self.width,
             )
-            for dst in range(cluster.num_nodes):
-                if dst == src:
-                    continue
-                send_rows(
-                    cluster, profile, self.category, src, dst, fragment,
-                    self.width, transfer_step, local_step,
-                )
+            peers = [dst for dst in range(cluster.num_nodes) if dst != src]
+            send_to(
+                cluster, profile, self.category, src, peers,
+                np.full(len(peers), fragment.num_rows * self.width),
+                transfer_step, local_step, payloads=[fragment] * len(peers),
+            )
 
         cluster.run_phase(scatter_node, profile=profile)
 
@@ -82,12 +83,12 @@ def replicate_size(
 ) -> None:
     """Broadcast an accounting-only blob of ``nbytes`` from one node.
 
-    The messages carry no payload (the receiver-side structure is
-    reconstructed from shared state in the simulation); self-sends are
-    skipped entirely, matching the paper's ``i != self`` exclusion.
+    The row is size-only (the receiver-side structure is reconstructed
+    from shared state in the simulation); self-sends are skipped
+    entirely, matching the paper's ``i != self`` exclusion.
     """
-    for dst in range(cluster.num_nodes):
-        if dst == src:
-            continue
-        cluster.network.send(src, dst, category, nbytes, payload=None)
-        profile.add_net_at(transfer_step, src, nbytes)
+    peers = [dst for dst in range(cluster.num_nodes) if dst != src]
+    send_to(
+        cluster, profile, category, src, peers, np.full(len(peers), float(nbytes)),
+        transfer_step, None,
+    )

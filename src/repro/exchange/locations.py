@@ -25,7 +25,7 @@ __all__ = ["LocationExchange"]
 
 @dataclass
 class LocationExchange:
-    """Account per-link (key, node) location messages.
+    """Account per-link (key, node) location messages, one row per sender.
 
     Parameters
     ----------
@@ -54,7 +54,7 @@ class LocationExchange:
         receivers: np.ndarray,
         node_values: np.ndarray,
     ) -> None:
-        """Send one sized message per active (sender, receiver) link.
+        """Send one size-only message per active (sender, receiver) link.
 
         ``senders``/``receivers``/``node_values`` are parallel pair
         arrays: the scheduling node, the holder it instructs, and the
@@ -134,23 +134,30 @@ class LocationExchange:
             )
             group_src = s_sorted[starts]
             group_dst = r_sorted[starts]
-        for src, dst, group_count, distinct in zip(
-            group_src, group_dst, counts, distinct_counts
-        ):
-            src = int(src)
-            dst = int(dst)
-            nbytes = location_message_bytes(
-                int(group_count),
-                int(distinct),
-                self.key_width,
-                self.location_width,
-                group_by_node=self.group_by_node,
+        nbytes = location_message_bytes(
+            counts,
+            distinct_counts,
+            self.key_width,
+            self.location_width,
+            group_by_node=self.group_by_node,
+        )
+        # Links come out sorted by (sender, receiver): one row per
+        # scheduling node.
+        row_starts = np.flatnonzero(np.r_[True, group_src[1:] != group_src[:-1]])
+        row_ends = np.append(row_starts[1:], len(group_src))
+        for start, end in zip(row_starts.tolist(), row_ends.tolist()):
+            cluster.network.send_batches(
+                int(group_src[start]),
+                MessageClass.KEYS_NODES,
+                None,
+                dsts=group_dst[start:end],
+                nbytes=nbytes[start:end],
             )
-            cluster.network.send(src, dst, MessageClass.KEYS_NODES, nbytes, payload=None)
-            if src == dst:
-                profile.add_local("Local copy keys, nodes", src, nbytes)
-            else:
-                profile.add_net_at(self.step, src, nbytes)
-            # Receivers merge the incoming pair lists before acting on
-            # them.
-            profile.add_cpu_at("Merge rec. keys, nodes", "merge", dst, nbytes)
+        # Profile attribution in the order a per-message loop creates
+        # the steps: the first message's transfer (or local copy) step,
+        # then the receivers' merge of the incoming pair lists, then
+        # whichever of transfer/copy the other messages add.
+        local_step = "Local copy keys, nodes"
+        profile.add_net_row(self.step, local_step, group_src[:1], group_dst[:1], nbytes[:1])
+        profile.add_cpu_nodes("Merge rec. keys, nodes", "merge", group_dst, nbytes)
+        profile.add_net_row(self.step, local_step, group_src[1:], group_dst[1:], nbytes[1:])

@@ -139,28 +139,30 @@ class KeyShuffle:
                     destinations[order], np.arange(cluster.num_nodes + 1)
                 )
                 gathered_keys = None
+            batches: list[LocalPartition | None] = []
             for dst in range(cluster.num_nodes):
                 lo, hi = bounds[dst], bounds[dst + 1]
                 rows = order[lo:hi]
                 if len(rows) == 0:
+                    batches.append(None)
                     continue
-                payload = LocalPartition(
-                    keys=(
-                        gathered_keys[lo:hi]
-                        if gathered_keys is not None
-                        else partition.keys[rows]
-                    ),
-                    columns={
-                        "node": np.full(len(rows), src, dtype=np.int64),
-                        "pos": rows.astype(np.int64),
-                    },
+                batches.append(
+                    LocalPartition(
+                        keys=(
+                            gathered_keys[lo:hi]
+                            if gathered_keys is not None
+                            else partition.keys[rows]
+                        ),
+                        columns={
+                            "node": np.full(len(rows), src, dtype=np.int64),
+                            "pos": rows.astype(np.int64),
+                        },
+                    )
                 )
-                nbytes = len(rows) * self.key_width
-                cluster.network.send(src, dst, self.category, nbytes, payload=payload)
-                if src == dst:
-                    profile.add_local(local_step, src, nbytes)
-                else:
-                    profile.add_net_at(transfer_step, src, nbytes)
+            send_split(
+                cluster, profile, self.category, src, batches, self.key_width,
+                transfer_step, local_step,
+            )
 
         cluster.run_phase(scatter_node, profile=profile)
 

@@ -76,20 +76,20 @@ class GraceHashJoin(DistributedJoin):
         def join_node(node: int) -> LocalPartition:
             part_r = received_r[node]
             part_s = received_s[node]
-            profile.add_cpu_at(
-                "Sort received R tuples", "sort", node, part_r.num_rows * width_r
-            )
-            profile.add_cpu_at(
-                "Sort received S tuples", "sort", node, part_s.num_rows * width_s
-            )
             joined = local_join(part_r, part_s, "r.", "s.")
-            profile.add_cpu_at(
-                "Final merge-join",
-                "merge",
+            profile.add_cpu_steps(
                 node,
-                part_r.num_rows * width_r
-                + part_s.num_rows * width_s
-                + joined.num_rows * out_width,
+                [
+                    ("Sort received R tuples", "sort", part_r.num_rows * width_r),
+                    ("Sort received S tuples", "sort", part_s.num_rows * width_s),
+                    (
+                        "Final merge-join",
+                        "merge",
+                        part_r.num_rows * width_r
+                        + part_s.num_rows * width_s
+                        + joined.num_rows * out_width,
+                    ),
+                ],
             )
             if not spec.materialize:
                 joined = LocalPartition(keys=joined.keys)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
-from ..exchange.base import send_rows
+from ..exchange.base import send_split, send_to
 from ..exchange.gather import flush
 from ..exchange.shuffle import KeyShuffle
 from ..storage.table import DistributedTable, LocalPartition
@@ -125,28 +125,28 @@ class LateMaterializationHashJoin(DistributedJoin):
                     name: np.empty(pair.num_rows, dtype=values.dtype)
                     for name, values in table.partitions[0].columns.items()
                 }
-                for src in np.unique(origin):
-                    sel = np.flatnonzero(origin == src)
-                    # Fetch request: one rid per output tuple.
-                    cluster.network.send(
-                        node, int(src), MessageClass.RIDS, len(sel) * rid_bytes
+                srcs = np.unique(origin)
+                selections = [np.flatnonzero(origin == src) for src in srcs.tolist()]
+                per_src = np.array([len(sel) for sel in selections], dtype=np.float64)
+                # Fetch requests: one rid per output tuple, one size-only
+                # row to every origin node.
+                send_to(
+                    cluster, profile, MessageClass.RIDS, node, srcs,
+                    per_src * rid_bytes, f"Fetch {side.upper()} payloads", None,
+                )
+                # Responses: the payload columns, in request order, one
+                # message from each origin node.
+                response_bytes = per_src * payload_width
+                for src, nbytes in zip(srcs.tolist(), response_bytes.tolist()):
+                    cluster.network.send_batches(
+                        src, category, None, dsts=[node], nbytes=[nbytes]
                     )
-                    # Response: the payload columns, in request order.
-                    cluster.network.send(
-                        int(src), node, category, len(sel) * payload_width
-                    )
-                    if int(src) != node:
-                        profile.add_net_at(
-                            f"Fetch {side.upper()} payloads",
-                            node,
-                            len(sel) * rid_bytes,
-                        )
-                        profile.add_net_at(
-                            f"Return {side.upper()} payloads",
-                            int(src),
-                            len(sel) * payload_width,
-                        )
-                    rows = table.partitions[int(src)].take(pos[sel])
+                profile.add_net_row(
+                    f"Return {side.upper()} payloads", None, srcs,
+                    np.full(len(srcs), node), response_bytes,
+                )
+                for src, sel in zip(srcs.tolist(), selections):
+                    rows = table.partitions[src].take(pos[sel])
                     for name, values in rows.columns.items():
                         fetched[name][sel] = values
                 for name, values in fetched.items():
@@ -215,24 +215,32 @@ class TrackingAwareHashJoin(DistributedJoin):
             )
             jobs: list[tuple[int, int, np.ndarray, np.ndarray]] = []
             wides: list[tuple[int, np.ndarray]] = []
-            for src in np.unique(unique_send[:, 0]):
-                sel = unique_send[unique_send[:, 0] == src]
-                # Instruction to the narrow node: (local rid, destination).
-                nbytes = len(sel) * (rid_narrow + spec.location_width)
-                cluster.network.send(t_node, int(src), MessageClass.RIDS, nbytes)
-                if int(src) != t_node:
-                    profile.add_net_at("Send narrow rids", t_node, nbytes)
-                jobs.append((int(src), t_node, sel[:, 1], sel[:, 2]))
+            narrow_nodes = np.unique(unique_send[:, 0])
+            narrow_sel = [unique_send[unique_send[:, 0] == src] for src in narrow_nodes]
+            # Instructions to the narrow nodes: (local rid, destination).
+            send_to(
+                cluster, profile, MessageClass.RIDS, t_node, narrow_nodes,
+                np.array([len(sel) for sel in narrow_sel], dtype=np.float64)
+                * (rid_narrow + spec.location_width),
+                "Send narrow rids", None,
+            )
+            jobs: list[tuple[int, int, np.ndarray, np.ndarray]] = [
+                (int(src), t_node, sel[:, 1], sel[:, 2])
+                for src, sel in zip(narrow_nodes, narrow_sel)
+            ]
             combo_w = np.stack([w_node, w_pos], axis=1)
             unique_wide = np.unique(combo_w, axis=0)
-            for dst in np.unique(unique_wide[:, 0]):
-                sel = unique_wide[unique_wide[:, 0] == dst]
-                # The wide node learns which of its rids participate.
-                nbytes = len(sel) * rid_wide
-                cluster.network.send(t_node, int(dst), MessageClass.RIDS, nbytes)
-                if int(dst) != t_node:
-                    profile.add_net_at("Send wide rids", t_node, nbytes)
-                wides.append((int(dst), sel[:, 1]))
+            wide_nodes = np.unique(unique_wide[:, 0])
+            wide_sel = [unique_wide[unique_wide[:, 0] == dst] for dst in wide_nodes]
+            # The wide nodes learn which of their rids participate.
+            send_to(
+                cluster, profile, MessageClass.RIDS, t_node, wide_nodes,
+                np.array([len(sel) for sel in wide_sel], dtype=np.float64) * rid_wide,
+                "Send wide rids", None,
+            )
+            wides: list[tuple[int, np.ndarray]] = [
+                (int(dst), sel[:, 1]) for dst, sel in zip(wide_nodes, wide_sel)
+            ]
             return jobs, wides
 
         scheduled = cluster.run_phase(schedule_t_node, profile=profile)
@@ -250,21 +258,15 @@ class TrackingAwareHashJoin(DistributedJoin):
         # gather) and reused by the send pass and the arrivals pass.
         job_sources = list(send_jobs.items())
 
-        def split_jobs(index: int) -> list[tuple[int, int, LocalPartition]]:
+        def split_jobs(index: int) -> list[tuple[int, list[LocalPartition | None]]]:
             src, jobs = job_sources[index]
             partition = narrow_table.partitions[src]
-            batches_here: list[tuple[int, int, LocalPartition]] = []
-            for _t_node, positions, destinations in jobs:
-                batches = partition.split_by(
-                    destinations, cluster.num_nodes, rows=positions
-                )
-                for dst, batch in enumerate(batches):
-                    if batch is None:
-                        continue
-                    batches_here.append((src, dst, batch))
-            return batches_here
+            return [
+                (src, partition.split_by(destinations, cluster.num_nodes, rows=positions))
+                for _t_node, positions, destinations in jobs
+            ]
 
-        job_batches: list[tuple[int, int, LocalPartition]] = []
+        job_batches: list[tuple[int, list[LocalPartition | None]]] = []
         for batches_here in cluster.run_phase(
             split_jobs,
             tasks=len(job_sources),
@@ -272,15 +274,17 @@ class TrackingAwareHashJoin(DistributedJoin):
             task_nodes=[src for src, _ in job_sources],
         ):
             job_batches.extend(batches_here)
-        for src, dst, batch in job_batches:
-            send_rows(
-                cluster, profile, narrow_category, src, dst, batch, narrow_width,
+        for src, batches in job_batches:
+            send_split(
+                cluster, profile, narrow_category, src, batches, narrow_width,
                 "Transfer narrow tuples", "Local copy narrow tuples",
             )
         flush(cluster)
         arrivals: dict[int, list[LocalPartition]] = {}
-        for _src, dst, batch in job_batches:
-            arrivals.setdefault(dst, []).append(batch)
+        for _src, batches in job_batches:
+            for dst, batch in enumerate(batches):
+                if batch is not None:
+                    arrivals.setdefault(dst, []).append(batch)
 
         # Rejoin at the wide nodes: selected local tuples vs arrivals.
         empty_names = tuple("r." + n for n in table_r.payload_names) + tuple(

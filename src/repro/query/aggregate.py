@@ -17,6 +17,7 @@ import numpy as np
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass, TrafficLedger
 from ..errors import ReproError
+from ..exchange.base import send_split
 from ..storage.schema import Column, Schema
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
@@ -147,19 +148,16 @@ def run_aggregation(
         destinations = hash_partition(partials.keys, cluster.num_nodes, spec.hash_seed)
         order = np.argsort(destinations, kind="stable")
         bounds = np.searchsorted(destinations[order], np.arange(cluster.num_nodes + 1))
-        for dst in range(cluster.num_nodes):
-            rows = order[bounds[dst] : bounds[dst + 1]]
-            if len(rows) == 0:
-                continue
-            batch = partials.take(rows)
-            nbytes = batch.num_rows * partial_width
-            cluster.network.send(
-                node, dst, MessageClass.AGGREGATES, nbytes, payload=batch
-            )
-            if node == dst:
-                profile.add_local("Local copy partial aggregates", node, nbytes)
-            else:
-                profile.add_net_at("Transfer partial aggregates", node, nbytes)
+        batches = [
+            partials.take(order[bounds[dst] : bounds[dst + 1]])
+            if bounds[dst + 1] > bounds[dst]
+            else None
+            for dst in range(cluster.num_nodes)
+        ]
+        send_split(
+            cluster, profile, MessageClass.AGGREGATES, node, batches, partial_width,
+            "Transfer partial aggregates", "Local copy partial aggregates",
+        )
 
     partitions = []
     for node in range(cluster.num_nodes):

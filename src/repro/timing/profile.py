@@ -14,12 +14,14 @@ Steps are recorded in execution order and keep the paper's step names
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from ..errors import ValidationError
 
 import numpy as np
+
+from ..errors import ValidationError
 
 __all__ = ["Step", "ExecutionProfile", "CPU", "NET", "LOCAL"]
 
@@ -93,6 +95,8 @@ class ExecutionProfile:
         self.network_load: dict[str, float] = {}
         self._phase_lanes: list["ExecutionProfile"] | None = None
         self._tls = threading.local()
+        #: (name, kind) -> step, for O(1) accumulation.
+        self._index: dict[tuple[str, str], Step] = {}
 
     def record_network_load(self, ledger) -> None:
         """Snapshot the ledger's per-node load extremes into the profile.
@@ -151,52 +155,194 @@ class ExecutionProfile:
         return self
 
     # -- recording -------------------------------------------------------
+    #
+    # Every recorder validates its input first (node indices in range,
+    # work finite and non-negative; vectorized for row forms) and raises
+    # ValidationError, so a bad value never reaches a step — and through
+    # it the hardware model's seconds.
+
+    def _step(self, name: str, kind: str, rate_class: str) -> Step:
+        """The step ``(name, kind)`` of the bound lane (or this profile).
+
+        Steps are created on first use, so ``steps`` keeps first-record
+        order; later records of the same name and kind accumulate into
+        it, letting loops over nodes record incrementally.
+        """
+        lane: "ExecutionProfile | None" = getattr(self._tls, "lane", None)
+        target = self if lane is None else lane
+        step = target._index.get((name, kind))
+        if step is None:
+            step = Step(name, kind, rate_class, np.zeros(target.num_nodes))
+            target.steps.append(step)
+            target._index[(name, kind)] = step
+        return step
 
     def _accumulate(self, name: str, kind: str, rate_class: str, per_node) -> Step:
-        lane: "ExecutionProfile | None" = getattr(self._tls, "lane", None)
-        if lane is not None:
-            return lane._accumulate(name, kind, rate_class, per_node)
         per_node = np.asarray(per_node, dtype=np.float64)
         if per_node.shape != (self.num_nodes,):
             raise ValidationError(
                 f"step {name!r}: expected {self.num_nodes} per-node values, "
                 f"got shape {per_node.shape}"
             )
-        # Merge with an existing step of the same name so loops over nodes
-        # can record incrementally.
-        for step in self.steps:
-            if step.name == name and step.kind == kind:
-                step.per_node_bytes = step.per_node_bytes + per_node
-                return step
-        step = Step(name=name, kind=kind, rate_class=rate_class, per_node_bytes=per_node)
-        self.steps.append(step)
+        step = self._step(name, kind, rate_class)
+        step.per_node_bytes += per_node
         return step
+
+    def _check_at(self, name: str, node, nbytes) -> None:
+        """Validate one node's work value (scalar form of the row checks)."""
+        if not 0 <= node < self.num_nodes:
+            raise ValidationError(
+                f"node index {node} out of range for {self.num_nodes}-node profile"
+            )
+        if not 0 <= nbytes < math.inf:
+            raise ValidationError(
+                f"step {name!r}: work must be finite and non-negative, got {nbytes}"
+            )
+
+    def _record_at(self, name: str, kind: str, rate_class: str, node, nbytes) -> Step:
+        """Record ``nbytes`` of work on one node."""
+        self._check_at(name, node, nbytes)
+        step = self._step(name, kind, rate_class)
+        step.per_node_bytes[node] += nbytes
+        return step
+
+    def _nodes(self, nodes) -> np.ndarray:
+        """Node indices as an int64 vector, range-checked."""
+        nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+        # Viewed unsigned, negative indices wrap above any node count:
+        # one reduction checks both bounds.
+        if len(nodes) and np.maximum.reduce(nodes.view(np.uint64)) >= self.num_nodes:
+            bad = nodes[(nodes < 0) | (nodes >= self.num_nodes)][0]
+            raise ValidationError(
+                f"node index {bad} out of range for {self.num_nodes}-node profile"
+            )
+        return nodes
+
+    @staticmethod
+    def _work(name: str, nbytes) -> np.ndarray:
+        """Work values as a float64 array; NaN, infinite and negative refused.
+
+        NaN propagates through both reductions, so two reductions cover
+        all three cases.
+        """
+        nbytes = np.asarray(nbytes, dtype=np.float64)
+        if nbytes.size and not (
+            np.minimum.reduce(nbytes, axis=None) >= 0
+            and np.maximum.reduce(nbytes, axis=None) < math.inf
+        ):
+            bad = nbytes[~((nbytes >= 0) & (nbytes < math.inf))].reshape(-1)[0]
+            raise ValidationError(
+                f"step {name!r}: work must be finite and non-negative, got {bad}"
+            )
+        return nbytes
 
     def add_cpu(self, name: str, rate_class: str, per_node_bytes) -> Step:
         """Record per-node CPU work for a named step."""
-        return self._accumulate(name, CPU, rate_class, per_node_bytes)
+        return self._accumulate(name, CPU, rate_class, self._work(name, per_node_bytes))
 
     def add_cpu_at(self, name: str, rate_class: str, node: int, nbytes: float) -> Step:
         """Record CPU work for one node of a named step."""
-        per_node = np.zeros(self.num_nodes)
-        per_node[node] = nbytes
+        return self._record_at(name, CPU, rate_class, node, nbytes)
+
+    def add_cpu_steps(self, node: int, steps) -> None:
+        """Record one node's CPU work over several named steps, in order.
+
+        ``steps`` is a sequence of ``(name, rate_class, nbytes)``; the
+        call equals one :meth:`add_cpu_at` per entry, so a task records
+        its whole per-node step sequence at once.  Every entry is
+        validated before any is recorded.
+        """
+        for name, _rate_class, nbytes in steps:
+            self._check_at(name, node, nbytes)
+        for name, rate_class, nbytes in steps:
+            self._step(name, CPU, rate_class).per_node_bytes[node] += nbytes
+
+    def add_cpu_nodes(self, name: str, rate_class: str, nodes, nbytes) -> Step | None:
+        """Record CPU work of many (node, bytes) entries in one call.
+
+        ``nodes`` and ``nbytes`` are parallel (a node may repeat); the
+        step is created only when there is at least one entry.
+        """
+        nbytes = self._work(name, nbytes).reshape(-1)
+        nodes = self._nodes(nodes)
+        if len(nodes) != len(nbytes):
+            raise ValidationError(
+                f"step {name!r}: {len(nodes)} nodes for {len(nbytes)} byte counts"
+            )
+        if len(nodes) == 0:
+            return None
+        per_node = np.bincount(nodes, weights=nbytes, minlength=self.num_nodes)
         return self._accumulate(name, CPU, rate_class, per_node)
 
     def add_net(self, name: str, per_node_sent_bytes) -> Step:
         """Record a network transfer step (bytes sent per node)."""
-        return self._accumulate(name, NET, "transfer", per_node_sent_bytes)
+        return self._accumulate(name, NET, "transfer", self._work(name, per_node_sent_bytes))
 
     def add_net_at(self, name: str, node: int, nbytes: float) -> Step:
         """Record bytes one node sent during a named transfer step."""
-        per_node = np.zeros(self.num_nodes)
-        per_node[node] = nbytes
-        return self._accumulate(name, NET, "transfer", per_node)
+        return self._record_at(name, NET, "transfer", node, nbytes)
+
+    def add_net_row(
+        self,
+        transfer_step: str,
+        local_step: str | None,
+        src,
+        dsts,
+        nbytes,
+    ) -> None:
+        """Attribute one row of sends: remote entries are transfers, self-sends copies.
+
+        Entry ``i`` moved ``nbytes[i]`` bytes from ``src`` to
+        ``dsts[i]``; ``src`` is one node or an array parallel to
+        ``dsts``.  Remote entries accumulate on their sender under the
+        network step ``transfer_step``; entries with ``src == dst`` are
+        node-local copies under the ``LOCAL`` step ``local_step`` (the
+        paper separates the two in Tables 3-4), or are not recorded
+        when ``local_step`` is ``None``.  A new step is created in the
+        order a per-message loop would first reach it: the kind of the
+        row's first entry first.
+        """
+        nbytes = self._work(transfer_step, nbytes).reshape(-1)
+        dsts = self._nodes(dsts)
+        if len(dsts) != len(nbytes):
+            raise ValidationError(
+                f"step {transfer_step!r}: {len(dsts)} destinations for "
+                f"{len(nbytes)} byte counts"
+            )
+        if len(dsts) == 0:
+            return
+        one_src = isinstance(src, (int, np.integer))
+        if one_src:
+            self._check_at(transfer_step, src, 0.0)
+        else:
+            src = self._nodes(src)
+            if len(src) != len(dsts):
+                raise ValidationError(
+                    f"step {transfer_step!r}: {len(src)} senders for "
+                    f"{len(dsts)} destinations"
+                )
+        local = dsts == src
+        num_local = int(np.count_nonzero(local))
+        parts = []
+        if num_local < len(dsts):
+            parts.append((transfer_step, NET, "transfer", ~local))
+        if local_step is not None and num_local:
+            parts.insert(0 if local[0] else len(parts), (local_step, LOCAL, "copy", local))
+        mixed = 0 < num_local < len(dsts)
+        for name, kind, rate_class, mask in parts:
+            values = nbytes[mask] if mixed else nbytes
+            step = self._step(name, kind, rate_class)
+            if one_src:
+                step.per_node_bytes[src] += np.add.reduce(values)
+            else:
+                senders = src[mask] if mixed else src
+                step.per_node_bytes += np.bincount(
+                    senders, weights=values, minlength=self.num_nodes
+                )
 
     def add_local(self, name: str, node: int, nbytes: float) -> Step:
         """Record a node-local copy (not network traffic)."""
-        per_node = np.zeros(self.num_nodes)
-        per_node[node] = nbytes
-        return self._accumulate(name, LOCAL, "copy", per_node)
+        return self._record_at(name, LOCAL, "copy", node, nbytes)
 
     def record_phase_timing(self, timing: dict) -> None:
         """Append one phase group's wall-clock breakdown.

@@ -193,6 +193,54 @@ class TestRetransmitAccounting:
         assert _goodput(faulty.traffic) == _goodput(clean.traffic)
 
 
+# -- pinned fault sequence -----------------------------------------------
+
+#: Fault counters and per-class recovery bytes of one seeded
+#: drop/duplicate/delay/reorder plan on 8 nodes, recorded from the
+#: per-message send path.  Row sends must leave the fault model's draw
+#: sequence untouched: every staged entry still reaches the injector as
+#: one message, in the same per-destination order.
+_PINNED_FAULTS = {
+    "4TJ": (
+        {
+            "drops": 115, "duplicates": 84, "delays": 44, "reorders": 34,
+            "retries": 159, "deduped": 128, "crashes": 0, "restarts": 0,
+            "stragglers": 0, "faults_injected": 277,
+            "retransmit_bytes": 6598.0, "virtual_time": 198.0,
+        },
+        {
+            "keys_counts": 1245.0, "keys_nodes": 1045.0,
+            "r_tuples": 1068.0, "s_tuples": 3240.0,
+        },
+    ),
+    "HJ": (
+        {
+            "drops": 34, "duplicates": 27, "delays": 11, "reorders": 11,
+            "retries": 45, "deduped": 38, "crashes": 0, "restarts": 0,
+            "stragglers": 0, "faults_injected": 83,
+            "retransmit_bytes": 7556.0, "virtual_time": 53.0,
+        },
+        {"r_tuples": 2256.0, "s_tuples": 5300.0},
+    ),
+}
+
+
+class TestPinnedFaultSequence:
+    @pytest.mark.parametrize("algorithm", sorted(_PINNED_FAULTS))
+    def test_fault_counters_match_recorded_sequence(self, algorithm):
+        plan = FaultPlan(seed=11, drop=0.2, duplicate=0.15, delay=0.1, reorder=0.3)
+        cluster = Cluster(8, fault_plan=plan)
+        rng = np.random.default_rng(5)
+        table_r, table_s = scatter_tables(
+            cluster, rng.integers(0, 60, 300), rng.integers(0, 60, 450)
+        )
+        result = create(algorithm).run(cluster, table_r, table_s)
+        stats, retransmits = _PINNED_FAULTS[algorithm]
+        assert cluster.network.faults.stats.as_dict() == stats
+        breakdown = result.traffic.retransmit_breakdown()
+        assert {k: v for k, v in breakdown.items() if v} == retransmits
+
+
 # -- query-layer degradation ---------------------------------------------
 
 

@@ -19,7 +19,7 @@ from repro.exchange import (
     drain_payloads,
     flush,
     replicate_size,
-    send_rows,
+    send_split,
 )
 from repro.storage import LocalPartition
 from repro.timing.profile import ExecutionProfile
@@ -159,23 +159,20 @@ class TestGather:
 
 
 class TestAccountingPrimitives:
-    def test_send_rows_local_vs_remote(self):
+    def test_send_split_local_vs_remote(self):
         cluster = Cluster(2)
         profile = ExecutionProfile(cluster.num_nodes)
-        remote = send_rows(
-            cluster, profile, MessageClass.R_TUPLES, 0, 1, _part(1, 2), 8.0,
+        send_split(
+            cluster, profile, MessageClass.R_TUPLES, 0, [_part(3), _part(1, 2)], 8.0,
             "Transfer x", "Local copy x",
         )
-        local = send_rows(
-            cluster, profile, MessageClass.R_TUPLES, 0, 0, _part(3), 8.0,
-            "Transfer x", "Local copy x",
-        )
-        assert (remote, local) == (16.0, 8.0)
         assert cluster.network.ledger.total_bytes == 16.0
         assert cluster.network.ledger.local_bytes == 8.0
-        by_step = {(s.name, s.kind) for s in profile.steps}
-        assert ("Transfer x", "net") in by_step
-        assert ("Local copy x", "local") in by_step
+        by_step = {(s.name, s.kind): s.total_bytes for s in profile.steps}
+        assert by_step[("Transfer x", "net")] == 16.0
+        assert by_step[("Local copy x", "local")] == 8.0
+        # The row's first entry is the self-send: its step comes first.
+        assert [s.kind for s in profile.steps] == ["local", "net"]
         flush(cluster)
 
     def test_replicate_size_reaches_every_other_node(self):
