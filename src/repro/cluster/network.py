@@ -21,11 +21,10 @@ The parallel engine runs many nodes' phase work at once, so accounting
 must stay deterministic under arbitrary thread interleaving.  During an
 open *phase* (:meth:`Network.begin_phase`), each task binds its own
 :class:`SendLane`: its rows are staged in the lane's private row list
-and recorded in the lane's private ledger instead of touching shared
-state.  The phase barrier (:meth:`Network.end_phase`) commits lanes in
-task order — one matrix add per class merges each lane ledger
-(:meth:`TrafficLedger.merge`), and staged rows append their messages to
-the destination inboxes — so byte totals, per-link bytes, and inbox
+instead of touching shared state.  The phase barrier
+(:meth:`Network.end_phase`) commits lanes in task order — each staged
+row is added into the ledger's matrix and appends its messages to the
+destination inboxes — so byte totals, per-link bytes, and inbox
 ordering are bit-identical for every worker count and interleaving.
 Messages staged inside a phase only become visible to :meth:`deliver`
 after the barrier, which is exactly the paper's non-pipelined phase
@@ -352,16 +351,17 @@ Row = tuple[int, MessageClass, np.ndarray, np.ndarray, "list[Any] | None"]
 class SendLane:
     """Per-task staging buffer used while a network phase is open.
 
-    A lane collects one task's outgoing rows and their byte accounting
-    privately, so concurrent tasks never contend on shared state; the
-    phase barrier commits lanes in task order.
+    A lane collects one task's outgoing rows privately, so concurrent
+    tasks never contend on shared state; the phase barrier accounts and
+    commits lanes in task order.  A lane holds no ledger of its own: a
+    row costs one ledger row add whenever it is accounted, and a
+    per-lane N×N matrix would cost N² memory per task.
     """
 
-    __slots__ = ("rows", "ledger")
+    __slots__ = ("rows",)
 
-    def __init__(self, num_nodes: int) -> None:
+    def __init__(self) -> None:
         self.rows: list[Row] = []
-        self.ledger = TrafficLedger(num_nodes)
 
 
 class Network:
@@ -429,7 +429,7 @@ class Network:
         """
         if self._phase_lanes is not None:
             raise NetworkError("a network phase is already open (missing barrier?)")
-        self._phase_lanes = [SendLane(self.num_nodes) for _ in range(num_lanes)]
+        self._phase_lanes = [SendLane() for _ in range(num_lanes)]
         if self.faults is not None:
             self.faults.begin_phase()
         return self._phase_lanes
@@ -447,9 +447,9 @@ class Network:
     def end_phase(self) -> None:
         """Barrier: commit all lanes in task order and close the phase.
 
-        Lane ledgers merge into the master ledger and staged rows
-        append to the destination inboxes, both in lane (= task) order,
-        making the committed state independent of execution order.
+        Staged rows are accounted in the master ledger and appended to
+        the destination inboxes, both in lane (= task) order, making the
+        committed state independent of execution order.
         """
         lanes = self._phase_lanes
         if lanes is None:
@@ -457,12 +457,12 @@ class Network:
         self._phase_lanes = None
         if self.faults is None:
             for lane in lanes:
-                self.ledger.merge(lane.ledger)
                 for row in lane.rows:
+                    self.ledger.record_row(*row[:4])
                     self._enqueue_row(*row)
             return
-        # Fault-injected barrier: goodput accounting is identical (lane
-        # ledgers merge unchanged), then every destination's staged
+        # Fault-injected barrier: goodput accounting is identical (every
+        # row is accounted unchanged), then every destination's staged
         # batch runs through the injector on this (coordinator) thread
         # in deterministic lane order, so drops, retransmissions,
         # duplicates, and reorders are bit-identical across worker
@@ -470,8 +470,8 @@ class Network:
         # with the phase already closed; callers unwind via abort_phase.
         staged: dict[int, list[Message]] = {}
         for lane in lanes:
-            self.ledger.merge(lane.ledger)
             for row in lane.rows:
+                self.ledger.record_row(*row[:4])
                 for msg in self._row_messages(*row):
                     staged.setdefault(msg.dst, []).append(msg)
         for dst in sorted(staged):
@@ -601,7 +601,6 @@ class Network:
         """
         lane: SendLane | None = getattr(self._tls, "lane", None)
         if lane is not None:
-            lane.ledger.record_row(src, category, dsts, nbytes)
             lane.rows.append((src, category, dsts, nbytes, payloads))
             return
         self.ledger.record_row(src, category, dsts, nbytes)
