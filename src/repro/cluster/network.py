@@ -318,10 +318,9 @@ class TrafficLedger:
     def merge(self, other: "TrafficLedger") -> "TrafficLedger":
         """Accumulate ``other`` into this ledger in place; returns ``self``.
 
-        A matrix add per class.  Merging is order-insensitive for the
-        dyadic-rational sizes the encodings produce (all sums are exact
-        in float64), which is what lets the phase barrier combine
-        per-worker ledgers into totals identical to a serial run.
+        A matrix add per class (e.g. a query folding in each operator's
+        ledger).  Merging is order-insensitive for the dyadic-rational
+        sizes the encodings produce (all sums are exact in float64).
         """
         self._grow(other.num_nodes)
         size = other.num_nodes
