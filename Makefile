@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-exchange test-chaos perfbench-smoke lint bench bench-smoke bench-scaling bench-scaling-smoke bench-serve bench-serve-smoke bench-skew bench-skew-smoke bench-full
+.PHONY: test test-exchange test-chaos perfbench-smoke experiments-smoke lint bench bench-smoke bench-scaling bench-scaling-smoke bench-serve bench-serve-smoke bench-skew bench-skew-smoke bench-full
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -27,6 +27,12 @@ test-chaos:
 # and does not fail a benchmark run.
 perfbench-smoke:
 	$(PYTHON) -m pytest perfbench -q
+
+# Every paper experiment end to end (python -m repro all, ~60 s).  All
+# of them run with materialize=False, so this is the end-to-end guard
+# on the counting final joins; any experiment error exits non-zero.
+experiments-smoke:
+	$(PYTHON) -m repro all
 
 # Static analysis: the project's REP determinism/aliasing rules plus
 # the whole-package REP007-REP011 dataflow pass always run; ruff and

@@ -35,8 +35,8 @@ from ..exchange.locations import LocationExchange
 from ..exchange.migrate import Migrate, ShardedMigrate
 from ..exchange.selective import SelectiveBroadcast
 from ..fastpath import fused_enabled
-from ..joins.base import DistributedJoin, JoinSpec
-from ..joins.local import local_join
+from ..joins.base import DistributedJoin, JoinSpec, NodeOutputs
+from ..joins.local import concat_join_side, join_cardinality, local_join
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
 from ..util import segment_ids, segmented_cartesian
@@ -63,7 +63,7 @@ class _TrackJoinBase(DistributedJoin):
         table_s: DistributedTable,
         spec: JoinSpec,
         profile: ExecutionProfile,
-    ) -> list[LocalPartition]:
+    ) -> NodeOutputs:
         tracking = run_tracking_phase(
             cluster, table_r, table_s, spec, profile, with_counts=self.with_counts
         )
@@ -190,8 +190,12 @@ def _execute_schedules(
     profile: ExecutionProfile,
     sched: ScheduleSet,
     seg: np.ndarray | None = None,
-) -> list[LocalPartition]:
-    """Run migrations, selective broadcasts, and final local joins."""
+) -> NodeOutputs:
+    """Run migrations, selective broadcasts, and final local joins.
+
+    Returns per-node output partitions, or per-node output row counts
+    when ``spec.materialize`` is False.
+    """
     num_nodes = cluster.num_nodes
     tracking = sched.tracking
     key_width = table_r.schema.key_width(spec.encoding)
@@ -210,6 +214,8 @@ def _execute_schedules(
     out_width = widths["R"] + table_s.schema.payload_width(spec.encoding)
 
     if tracking.num_entries == 0:
+        if not spec.materialize:
+            return [0] * num_nodes
         return [LocalPartition.empty(out_names) for _ in range(num_nodes)]
 
     if seg is None:
@@ -326,19 +332,30 @@ def _execute_schedules(
                 ),
             ).run(cluster, profile, work[b_side], pair_src, pair_dst, pair_key)
 
-    # ---- Phase C: final local joins at every destination.
-    def join_node(node: int) -> LocalPartition:
+    # ---- Phase C: final local joins at every destination.  A counting
+    # run (materialize=False) concatenates only the received keys and
+    # counts matches; the profile charges the same row terms either way.
+    def final_join(
+        left: LocalPartition, right: LocalPartition
+    ) -> tuple[LocalPartition | int, int]:
+        if spec.materialize:
+            joined = local_join(left, right, "r.", "s.")
+            return joined, joined.num_rows
+        rows = join_cardinality(left.keys, right.keys, right)
+        return rows, rows
+
+    def join_node(node: int) -> LocalPartition | int:
         received: dict[str, list[LocalPartition]] = {"R": [], "S": []}
         for msg in cluster.network.deliver(node):
             if msg.category is MessageClass.R_TUPLES:
                 received["R"].append(msg.payload)
             elif msg.category is MessageClass.S_TUPLES:
                 received["S"].append(msg.payload)
-        parts: list[LocalPartition] = []
+        parts: list = []
         cpu_steps: list[tuple[str, str, float]] = []
         if received["R"]:
-            batch = LocalPartition.concat(received["R"])
-            joined = local_join(batch, work["S"][node], "r.", "s.")
+            batch = concat_join_side(received["R"], spec.materialize)
+            joined, rows = final_join(batch, work["S"][node])
             cpu_steps += [
                 ("Merge rec. R → S tuples", "sort", batch.num_rows * widths["R"]),
                 (
@@ -346,13 +363,13 @@ def _execute_schedules(
                     "merge",
                     batch.num_rows * widths["R"]
                     + work["S"][node].num_rows * widths["S"]
-                    + joined.num_rows * out_width,
+                    + rows * out_width,
                 ),
             ]
             parts.append(joined)
         if received["S"]:
-            batch = LocalPartition.concat(received["S"])
-            joined = local_join(work["R"][node], batch, "r.", "s.")
+            batch = concat_join_side(received["S"], spec.materialize)
+            joined, rows = final_join(work["R"][node], batch)
             cpu_steps += [
                 ("Merge rec. S → R tuples", "sort", batch.num_rows * widths["S"]),
                 (
@@ -360,11 +377,13 @@ def _execute_schedules(
                     "merge",
                     batch.num_rows * widths["S"]
                     + work["R"][node].num_rows * widths["R"]
-                    + joined.num_rows * out_width,
+                    + rows * out_width,
                 ),
             ]
             parts.append(joined)
         profile.add_cpu_steps(node, cpu_steps)
+        if not spec.materialize:
+            return sum(parts)
         if parts:
             return LocalPartition.concat(parts)
         return LocalPartition.empty(out_names)

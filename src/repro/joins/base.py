@@ -2,25 +2,31 @@
 
 Every algorithm (broadcast, Grace hash, tracking-aware hash, and the
 three track join variants) implements :class:`DistributedJoin` and
-returns a :class:`JoinResult` carrying the materialized output, the
-byte-exact traffic ledger, and the execution profile used by the timing
-model.
+returns a :class:`JoinResult` carrying the materialized output (or only
+its size), the byte-exact traffic ledger, and the execution profile
+used by the timing model.
 """
 
 from __future__ import annotations
 
 import abc
+import math
+import numbers
 from dataclasses import dataclass, field
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass, TrafficLedger
 from ..encoding.base import Encoding
 from ..encoding.dictionary import DictionaryEncoding
-from ..errors import JoinConfigError
+from ..errors import JoinConfigError, ValidationError
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
 
-__all__ = ["JoinSpec", "JoinResult", "DistributedJoin"]
+__all__ = ["JoinSpec", "JoinResult", "DistributedJoin", "NodeOutputs"]
+
+#: What :meth:`DistributedJoin._execute` returns: per-node output
+#: partitions, or per-node output row counts under ``materialize=False``.
+NodeOutputs = list[LocalPartition] | list[int]
 
 
 @dataclass(frozen=True)
@@ -38,11 +44,18 @@ class JoinSpec:
         Bytes of the per-node match counters carried by 3/4-phase
         tracking messages (the paper uses 1 byte for workload X, 2 for
         Y; counts that overflow are aggregated at the destination).
+        All three widths must be finite and non-negative (integers are
+        fine); anything else raises :class:`ValidationError` at
+        construction.
     hash_seed:
         Seed of the key-hash that places scheduling/hash-join work.
     materialize:
-        When False, joins compute output cardinality but skip building
-        output payload arrays (large-scale traffic runs).
+        When False, every final join only counts its matches
+        (:func:`~repro.joins.local.join_cardinality`): no index pairs,
+        payload gathers or output partitions are built, and the result
+        carries ``output_rows`` with ``output=None``.  Traffic, profile
+        and modeled seconds are identical either way (large-scale
+        traffic runs).
     group_locations:
         Section 2.4 optimization: batch location messages by node so
         the node id is amortized over many keys instead of repeated
@@ -60,6 +73,19 @@ class JoinSpec:
     materialize: bool = True
     group_locations: bool = False
     delta_keys: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("location_width", "count_width_r", "count_width_s"):
+            value = getattr(self, name)
+            if (
+                not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+                or value < 0
+            ):
+                raise ValidationError(
+                    f"JoinSpec.{name} must be a finite, non-negative byte width, "
+                    f"got {value!r}"
+                )
 
 
 @dataclass
@@ -144,12 +170,17 @@ class DistributedJoin(abc.ABC):
                 f"{self.name}: {cluster.network.pending_messages()} messages "
                 "left undelivered after the join"
             )
-        output_rows = sum(p.num_rows for p in output)
+        if spec.materialize:
+            partitions = output
+            output_rows = sum(p.num_rows for p in partitions)
+        else:
+            partitions = None
+            output_rows = int(sum(output))
         profile.record_network_load(cluster.network.ledger)
         return JoinResult(
             algorithm=self.name,
             output_rows=output_rows,
-            output=output if spec.materialize else None,
+            output=partitions,
             traffic=cluster.network.reset_ledger(),
             profile=profile,
         )
@@ -162,12 +193,14 @@ class DistributedJoin(abc.ABC):
         table_s: DistributedTable,
         spec: JoinSpec,
         profile: ExecutionProfile,
-    ) -> list[LocalPartition]:
-        """Algorithm body; returns per-node output partitions.
+    ) -> NodeOutputs:
+        """Algorithm body; returns one output entry per node.
 
-        When ``spec.materialize`` is False implementations may return
-        key-only partitions (payload columns dropped) — the row counts
-        are still exact.
+        With ``spec.materialize`` each entry is the node's output
+        partition.  Without it each entry is the node's exact output
+        row count, computed by a counting final join that builds no
+        index pairs or payload columns; :meth:`run` sums the counts.
+        Traffic and profile steps must not depend on the setting.
 
         Communication happens through the exchange operators
         (:mod:`repro.exchange`), which carry the send-lane staging, byte

@@ -17,8 +17,8 @@ from ..exchange.gather import drain_category
 from ..fastpath import fused_enabled
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
-from .base import DistributedJoin, JoinSpec
-from .local import local_join
+from .base import DistributedJoin, JoinSpec, NodeOutputs
+from .local import concat_join_side, join_cardinality, local_join
 
 __all__ = ["BroadcastJoin"]
 
@@ -39,7 +39,7 @@ class BroadcastJoin(DistributedJoin):
         table_s: DistributedTable,
         spec: JoinSpec,
         profile: ExecutionProfile,
-    ) -> list[LocalPartition]:
+    ) -> NodeOutputs:
         if self.broadcast == "R":
             moving, staying = table_r, table_s
             category = MessageClass.R_TUPLES
@@ -52,38 +52,42 @@ class BroadcastJoin(DistributedJoin):
         Broadcast(category, width, step).scatter(cluster, profile, moving.partitions)
 
         # On the fused path every node joins the same broadcast multiset,
-        # so the full table (and, via local_join, its key index) is
+        # so the full table (and, via the final join, its key index) is
         # assembled once and shared instead of re-concatenated and
         # re-sorted per node.  The index is built here, before the join
         # phase fans out, so concurrent node tasks only ever read it.
         # Inboxes are still drained per node so the network sees
-        # identical deliveries.
+        # identical deliveries.  A counting join needs only the keys.
         shared_moving = (
-            LocalPartition.concat(list(moving.partitions)) if fused_enabled() else None
+            concat_join_side(list(moving.partitions), spec.materialize)
+            if fused_enabled()
+            else None
         )
         if shared_moving is not None and shared_moving.num_rows and self.broadcast == "S":
             # Only BJ-S probes the shared table as the join's right side.
             shared_moving.key_index()
 
-        def join_node(node: int) -> LocalPartition:
+        def join_node(node: int) -> LocalPartition | int:
             received = drain_category(cluster, node, category)
             if shared_moving is not None:
                 full_moving = shared_moving
             else:
-                full_moving = LocalPartition.concat([moving.partitions[node]] + received)
+                full_moving = concat_join_side(
+                    [moving.partitions[node]] + received, spec.materialize
+                )
             local = staying.partitions[node]
-            if self.broadcast == "R":
-                joined = local_join(full_moving, local, "r.", "s.")
+            left, right = (full_moving, local) if self.broadcast == "R" else (local, full_moving)
+            if spec.materialize:
+                joined = local_join(left, right, "r.", "s.")
+                rows = joined.num_rows
             else:
-                joined = local_join(local, full_moving, "r.", "s.")
+                joined = rows = join_cardinality(left.keys, right.keys, right)
             in_bytes = full_moving.num_rows * width + local.num_rows * staying.schema.tuple_width(spec.encoding)
-            out_bytes = joined.num_rows * (
+            out_bytes = rows * (
                 table_r.schema.tuple_width(spec.encoding)
                 + table_s.schema.payload_width(spec.encoding)
             )
             profile.add_cpu_at("Final merge-join", "merge", node, in_bytes + out_bytes)
-            if not spec.materialize:
-                joined = LocalPartition(keys=joined.keys)
             return joined
 
         return cluster.run_phase(join_node, profile=profile)

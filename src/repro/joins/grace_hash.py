@@ -22,8 +22,8 @@ from ..exchange.gather import Gather
 from ..exchange.shuffle import Shuffle
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
-from .base import DistributedJoin, JoinSpec
-from .local import local_join
+from .base import DistributedJoin, JoinSpec, NodeOutputs
+from .local import join_cardinality, local_join
 
 __all__ = ["GraceHashJoin"]
 
@@ -40,7 +40,7 @@ class GraceHashJoin(DistributedJoin):
         table_s: DistributedTable,
         spec: JoinSpec,
         profile: ExecutionProfile,
-    ) -> list[LocalPartition]:
+    ) -> NodeOutputs:
         if cluster.pipeline_active():
             # Pipelined mode fuses the two scatters under one barrier —
             # R's sends overlap S's hash-partitioning — then gathers
@@ -73,10 +73,14 @@ class GraceHashJoin(DistributedJoin):
         width_s = table_s.schema.tuple_width(spec.encoding)
         out_width = width_r + table_s.schema.payload_width(spec.encoding)
 
-        def join_node(node: int) -> LocalPartition:
+        def join_node(node: int) -> LocalPartition | int:
             part_r = received_r[node]
             part_s = received_s[node]
-            joined = local_join(part_r, part_s, "r.", "s.")
+            if spec.materialize:
+                joined = local_join(part_r, part_s, "r.", "s.")
+                rows = joined.num_rows
+            else:
+                joined = rows = join_cardinality(part_r.keys, part_s.keys, part_s)
             profile.add_cpu_steps(
                 node,
                 [
@@ -87,12 +91,10 @@ class GraceHashJoin(DistributedJoin):
                         "merge",
                         part_r.num_rows * width_r
                         + part_s.num_rows * width_s
-                        + joined.num_rows * out_width,
+                        + rows * out_width,
                     ),
                 ],
             )
-            if not spec.materialize:
-                joined = LocalPartition(keys=joined.keys)
             return joined
 
         return cluster.run_phase(join_node, profile=profile)

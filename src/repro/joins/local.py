@@ -18,6 +18,11 @@ on the calling thread, then left-key chunks probe it concurrently
 through :mod:`repro.parallel.chunks`.  Every probe path emits its pairs
 in ascending left order, so concatenating per-chunk results in chunk
 order reproduces the serial output bit for bit.
+
+:func:`join_cardinality` runs the same dispatch with every probe path
+counting instead of emitting pairs: the final joins of runs that do not
+materialize their output (``JoinSpec.materialize=False``) use it in
+place of :func:`local_join`.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "join_indices",
     "local_join",
     "join_cardinality",
+    "concat_join_side",
     "distinct_with_counts",
     "match_mask",
 ]
@@ -79,34 +85,36 @@ def _scratch(name: str, span: int, fill, dtype) -> np.ndarray:
     return table[:span]
 
 
-def _probe_in_chunks(probe, n_left: int) -> tuple[np.ndarray, np.ndarray]:
+def _probe_in_chunks(probe, n_left: int, count: bool):
     """Dispatch ``probe(start, stop)`` over left-key chunks.
 
     ``probe`` returns ``(left_idx, right_idx)`` with *global* left
-    indices for the given slice.  All probe paths emit pairs in
-    ascending left order, so per-chunk results concatenated in chunk
-    order equal the serial ``probe(0, n_left)`` bit for bit.
+    indices for the given slice, or — when ``count`` — the slice's
+    number of matches.  All probe paths emit pairs in ascending left
+    order, so per-chunk results concatenated in chunk order equal the
+    serial ``probe(0, n_left)`` bit for bit; counts simply add up.
     """
     slices = chunks.chunked_slices(n_left)
     if slices is None:
         return probe(0, n_left)
     parts = chunks.run_chunks(lambda bounds: probe(bounds[0], bounds[1]), slices)
+    if count:
+        return sum(parts)
     return (
         np.concatenate([left for left, _ in parts]),
         np.concatenate([right for _, right in parts]),
     )
 
 
-def _dense_unique_join(
-    keys_left: np.ndarray, keys_right: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
+def _dense_unique_join(keys_left: np.ndarray, keys_right: np.ndarray, count: bool):
     """Direct-address probe for dense, duplicate-free right keys.
 
     When the right key range is close to the right cardinality, one
     scatter into a positional lookup table plus one gather replaces
     both the sort and the binary search.  Returns the exact arrays the
-    sorted unique-right path would produce, or ``None`` when the keys
-    are too sparse or contain duplicates.
+    sorted unique-right path would produce (the hit count when
+    ``count``), or ``None`` when the keys are too sparse or contain
+    duplicates.
     """
     base = int(keys_right.min())
     span = _dense_span(base, int(keys_right.max()), len(keys_right))
@@ -123,24 +131,26 @@ def _dense_unique_join(
         lookup[shifted_right] = -1
         return None
 
-    def probe(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    def probe(start: int, stop: int):
         shifted = keys_left[start:stop] - base
         in_range = (shifted >= 0) & (shifted < span)
         candidate = lookup[np.where(in_range, shifted, 0)]
         hit = in_range & (candidate >= 0)
+        if count:
+            return int(np.count_nonzero(hit))
         left_idx = np.flatnonzero(hit)
         right_idx = candidate[left_idx].astype(np.int64)
         return left_idx + start, right_idx
 
     try:
-        return _probe_in_chunks(probe, len(keys_left))
+        return _probe_in_chunks(probe, len(keys_left), count)
     finally:
         lookup[shifted_right] = -1
 
 
 def _dense_indexed_join(
-    keys_left: np.ndarray, order_right: np.ndarray, sorted_right: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
+    keys_left: np.ndarray, order_right: np.ndarray, sorted_right: np.ndarray, count: bool
+):
     """Direct-address probe against a sorted right index with duplicates.
 
     Run-start positions and run lengths of the sorted right keys scatter
@@ -148,8 +158,10 @@ def _dense_indexed_join(
     general path with one gather each.  The emitted pairs match the
     searchsorted path exactly: for a present key the tables hold the
     ``lo`` offset and ``hi - lo`` count that path would compute, and the
-    expansion enumerates the run in the same sorted-right order.
-    Returns ``None`` when the right keys are too sparse.
+    expansion enumerates the run in the same sorted-right order.  When
+    ``count``, the match count is the sum of the gathered run lengths
+    and the start table is never filled.  Returns ``None`` when the
+    right keys are too sparse.
     """
     base = int(sorted_right[0])
     span = _dense_span(base, int(sorted_right[-1]), len(sorted_right))
@@ -160,16 +172,19 @@ def _dense_indexed_join(
     distinct_shifted = sorted_right[run_starts] - base
     start_table = _scratch("run_starts", span, 0, np.int64)
     count_table = _scratch("run_counts", span, 0, np.int64)
-    start_table[distinct_shifted] = run_starts
+    if not count:
+        start_table[distinct_shifted] = run_starts
     count_table[distinct_shifted] = run_counts
 
-    def probe(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    def probe(start: int, stop: int):
         chunk = keys_left[start:stop]
         shifted = chunk - base
         in_range = (shifted >= 0) & (shifted < span)
         safe = np.where(in_range, shifted, 0)
         counts = np.where(in_range, count_table[safe], 0)
         total = int(counts.sum())
+        if count:
+            return total
         if total == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
@@ -181,33 +196,35 @@ def _dense_indexed_join(
         return left_local + start, right_idx
 
     try:
-        return _probe_in_chunks(probe, len(keys_left))
+        return _probe_in_chunks(probe, len(keys_left), count)
     finally:
         count_table[distinct_shifted] = 0
 
 
 def _probe_unique_sorted(
-    keys_left: np.ndarray, order_right: np.ndarray, sorted_right: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    keys_left: np.ndarray, order_right: np.ndarray, sorted_right: np.ndarray, count: bool
+):
     """Single-probe path: each left key matches at most one right row,
     so one searchsorted plus an equality check replaces the
     lo/hi/repeat expansion machinery."""
 
-    def probe(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    def probe(start: int, stop: int):
         chunk = keys_left[start:stop]
         lo = np.searchsorted(sorted_right, chunk, side="left")
         clipped = np.minimum(lo, len(sorted_right) - 1)
         hit = sorted_right[clipped] == chunk
+        if count:
+            return int(np.count_nonzero(hit))
         left_idx = np.flatnonzero(hit)
         right_idx = order_right[clipped[left_idx]]
         return left_idx + start, right_idx
 
-    return _probe_in_chunks(probe, len(keys_left))
+    return _probe_in_chunks(probe, len(keys_left), count)
 
 
 def _probe_general_sorted(
-    keys_left: np.ndarray, order_right: np.ndarray, sorted_right: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    keys_left: np.ndarray, order_right: np.ndarray, sorted_right: np.ndarray, count: bool
+):
     """General sorted-probe path with per-key cartesian expansion.
 
     The expansion uses one ``repeat`` plus gathers by the expanded left
@@ -218,12 +235,14 @@ def _probe_general_sorted(
     the two widest materializations become cache-friendly gathers.
     """
 
-    def probe(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    def probe(start: int, stop: int):
         chunk = keys_left[start:stop]
         lo = np.searchsorted(sorted_right, chunk, side="left")
         hi = np.searchsorted(sorted_right, chunk, side="right")
         counts = hi - lo
         total = int(counts.sum())
+        if count:
+            return total
         if total == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
@@ -234,7 +253,7 @@ def _probe_general_sorted(
         right_idx = order_right[lo[left_local] + offsets]
         return left_local + start, right_idx
 
-    return _probe_in_chunks(probe, len(keys_left))
+    return _probe_in_chunks(probe, len(keys_left), count)
 
 
 def join_indices(
@@ -273,8 +292,26 @@ def join_indices(
         return empty, empty
     if not fused_enabled():
         return _reference_join(keys_left, keys_right)
+    return _probe(keys_left, keys_right, right_index, right_partition, count=False)
+
+
+def _probe(
+    keys_left: np.ndarray,
+    keys_right: np.ndarray,
+    right_index: KeyIndex | None,
+    right_partition: "LocalPartition | None",
+    count: bool,
+):
+    """Probe dispatch shared by :func:`join_indices` and :func:`join_cardinality`.
+
+    Picks the cheapest lookup structure for the right side — a
+    direct-address table when its keys are dense and unique, else its
+    (cached) sorted index, probed by direct addressing when dense or by
+    binary search otherwise — and returns the index pairs, or only
+    their number when ``count``.  Both sides must be non-empty.
+    """
     if right_index is None:
-        dense = _dense_unique_join(keys_left, keys_right)
+        dense = _dense_unique_join(keys_left, keys_right, count)
         if dense is not None:
             return dense
         if right_partition is not None:
@@ -290,11 +327,11 @@ def join_indices(
             (sorted_right[1:] != sorted_right[:-1]).all()
         )
     if right_unique:
-        return _probe_unique_sorted(keys_left, order_right, sorted_right)
-    dense = _dense_indexed_join(keys_left, order_right, sorted_right)
+        return _probe_unique_sorted(keys_left, order_right, sorted_right, count)
+    dense = _dense_indexed_join(keys_left, order_right, sorted_right, count)
     if dense is not None:
         return dense
-    return _probe_general_sorted(keys_left, order_right, sorted_right)
+    return _probe_general_sorted(keys_left, order_right, sorted_right, count)
 
 
 def _reference_join(
@@ -355,16 +392,34 @@ def local_join(
     )
 
 
-def join_cardinality(keys_left: np.ndarray, keys_right: np.ndarray) -> int:
-    """Output size of the equi-join without materializing index pairs."""
+def join_cardinality(
+    keys_left: np.ndarray,
+    keys_right: np.ndarray,
+    right_partition: "LocalPartition | None" = None,
+) -> int:
+    """Output size of the equi-join without materializing index pairs.
+
+    Runs the same probe dispatch as :func:`join_indices` — direct
+    addressing for dense right keys, the (cached) sorted index of
+    ``right_partition`` otherwise — but each probe path only counts its
+    matches: a hit count against unique right keys, a sum of run
+    lengths against duplicated ones.  Memory stays linear in the
+    inputs, however large the output.  ``right_partition`` optionally
+    names the partition owning ``keys_right`` so its key index is
+    built once and reused.
+    """
     keys_left = np.asarray(keys_left, dtype=np.int64)
     keys_right = np.asarray(keys_right, dtype=np.int64)
     if len(keys_left) == 0 or len(keys_right) == 0:
         return 0
-    sorted_right = np.sort(keys_right)
-    lo = np.searchsorted(sorted_right, keys_left, side="left")
-    hi = np.searchsorted(sorted_right, keys_left, side="right")
-    return int((hi - lo).sum())
+    return _probe(keys_left, keys_right, None, right_partition, count=True)
+
+
+def concat_join_side(parts: list[LocalPartition], materialize: bool) -> LocalPartition:
+    """Non-empty received batches as one join input; keys only when counting."""
+    if materialize:
+        return LocalPartition.concat(parts)
+    return LocalPartition(keys=np.concatenate([p.keys for p in parts]))
 
 
 def distinct_with_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,8 +30,8 @@ from ..exchange.gather import flush
 from ..exchange.shuffle import KeyShuffle
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
-from .base import DistributedJoin, JoinSpec
-from .local import join_indices
+from .base import DistributedJoin, JoinSpec, NodeOutputs
+from .local import concat_join_side, join_cardinality, join_indices
 
 __all__ = ["LateMaterializationHashJoin", "TrackingAwareHashJoin", "rid_width"]
 
@@ -102,7 +102,7 @@ class LateMaterializationHashJoin(DistributedJoin):
         table_s: DistributedTable,
         spec: JoinSpec,
         profile: ExecutionProfile,
-    ) -> list[LocalPartition]:
+    ) -> NodeOutputs:
         recv_r = _scatter_keys(cluster, table_r, spec, profile, "R")
         recv_s = _scatter_keys(cluster, table_s, spec, profile, "S")
         key_width = table_r.schema.key_width(spec.encoding)
@@ -111,7 +111,7 @@ class LateMaterializationHashJoin(DistributedJoin):
         rid_r = rid_width(table_r.total_rows)
         rid_s = rid_width(table_s.total_rows)
 
-        def fetch_node(node: int) -> LocalPartition:
+        def fetch_node(node: int) -> LocalPartition | int:
             pair = pairs[node]
             columns: dict[str, np.ndarray] = {}
             for side, table, rid_bytes, category in (
@@ -121,10 +121,6 @@ class LateMaterializationHashJoin(DistributedJoin):
                 payload_width = table.schema.payload_width(spec.encoding)
                 origin = pair.columns[f"{side}_node"]
                 pos = pair.columns[f"{side}_pos"]
-                fetched = {
-                    name: np.empty(pair.num_rows, dtype=values.dtype)
-                    for name, values in table.partitions[0].columns.items()
-                }
                 srcs = np.unique(origin)
                 selections = [np.flatnonzero(origin == src) for src in srcs.tolist()]
                 per_src = np.array([len(sel) for sel in selections], dtype=np.float64)
@@ -145,12 +141,21 @@ class LateMaterializationHashJoin(DistributedJoin):
                     f"Return {side.upper()} payloads", None, srcs,
                     np.full(len(srcs), node), response_bytes,
                 )
+                if not spec.materialize:
+                    # Counting: the fetch traffic is real, the gather is not.
+                    continue
+                fetched = {
+                    name: np.empty(pair.num_rows, dtype=values.dtype)
+                    for name, values in table.partitions[0].columns.items()
+                }
                 for src, sel in zip(srcs.tolist(), selections):
                     rows = table.partitions[src].take(pos[sel])
                     for name, values in rows.columns.items():
                         fetched[name][sel] = values
                 for name, values in fetched.items():
                     columns[f"{side}.{name}"] = values
+            if not spec.materialize:
+                return pair.num_rows
             return LocalPartition(keys=pair.keys, columns=columns)
 
         output = cluster.run_phase(fetch_node, profile=profile)
@@ -176,7 +181,7 @@ class TrackingAwareHashJoin(DistributedJoin):
         table_s: DistributedTable,
         spec: JoinSpec,
         profile: ExecutionProfile,
-    ) -> list[LocalPartition]:
+    ) -> NodeOutputs:
         recv_r = _scatter_keys(cluster, table_r, spec, profile, "R")
         recv_s = _scatter_keys(cluster, table_s, spec, profile, "S")
         key_width = table_r.schema.key_width(spec.encoding)
@@ -286,30 +291,38 @@ class TrackingAwareHashJoin(DistributedJoin):
                 if batch is not None:
                     arrivals.setdefault(dst, []).append(batch)
 
-        # Rejoin at the wide nodes: selected local tuples vs arrivals.
+        # Rejoin at the wide nodes: selected local tuples vs arrivals.  A
+        # counting run joins keys only and counts the matches.
         empty_names = tuple("r." + n for n in table_r.payload_names) + tuple(
             "s." + n for n in table_s.payload_names
         )
 
-        def rejoin_node(node: int) -> LocalPartition:
+        def rejoin_node(node: int) -> LocalPartition | int:
             received = arrivals.get(node, [])
             if not received or node not in wide_rows:
-                return LocalPartition.empty(empty_names)
-            narrow_part = LocalPartition.concat(received)
+                return LocalPartition.empty(empty_names) if spec.materialize else 0
+            narrow_part = concat_join_side(received, spec.materialize)
             positions = np.unique(np.concatenate(wide_rows[node]))
-            wide_part = wide_table.partitions[node].take(positions)
-            idx_w, idx_n = join_indices(wide_part.keys, narrow_part.keys)
+            wide_keys = wide_table.partitions[node].keys[positions]
+            if spec.materialize:
+                idx_w, idx_n = join_indices(wide_keys, narrow_part.keys)
+                rows = len(idx_w)
+            else:
+                rows = join_cardinality(wide_keys, narrow_part.keys)
             profile.add_cpu_at(
                 "Rejoin at wide node",
                 "merge",
                 node,
-                (wide_part.num_rows + narrow_part.num_rows + len(idx_w)) * narrow_width,
+                (len(positions) + narrow_part.num_rows + rows) * narrow_width,
             )
+            if not spec.materialize:
+                return rows
+            wide_idx = positions[idx_w]
             columns: dict[str, np.ndarray] = {}
-            for name, values in wide_part.columns.items():
-                columns[f"{wide}.{name}"] = values[idx_w]
+            for name, values in wide_table.partitions[node].columns.items():
+                columns[f"{wide}.{name}"] = values[wide_idx]
             for name, values in narrow_part.columns.items():
                 columns[f"{narrow}.{name}"] = values[idx_n]
-            return LocalPartition(keys=wide_part.keys[idx_w], columns=columns)
+            return LocalPartition(keys=wide_keys[idx_w], columns=columns)
 
         return cluster.run_phase(rejoin_node, profile=profile)

@@ -22,12 +22,16 @@ from repro import (
     TrackJoin4,
 )
 from repro.cluster.network import MessageClass
-from repro.errors import JoinConfigError
+from repro.errors import JoinConfigError, ValidationError
+from repro.faults import FaultPlan
 from repro.joins import (
     LateMaterializationHashJoin,
     SemiJoinFilteredJoin,
     TrackingAwareHashJoin,
 )
+from repro.joins.registry import algorithm_names, create
+from repro.timing import paper_cluster_2014
+from repro.workloads.synthetic import hot_key_workload
 
 from conftest import assert_same_output, canonical_output, make_tables
 
@@ -243,3 +247,113 @@ class TestJoinConfig:
         balance = result.node_balance()
         assert balance["send_skew"] >= 1.0
         assert balance["max_sent"] >= balance["mean_sent"]
+
+
+class TestJoinSpecValidation:
+    @pytest.mark.parametrize("field", ["location_width", "count_width_r", "count_width_s"])
+    @pytest.mark.parametrize("value", [-1.0, -2, float("nan"), float("inf"), -float("inf")])
+    def test_bad_width_rejected_at_construction(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            JoinSpec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["location_width", "count_width_r", "count_width_s"])
+    def test_non_numeric_width_rejected(self, field):
+        with pytest.raises(ValidationError):
+            JoinSpec(**{field: "1"})
+
+    def test_integer_and_zero_widths_stay_legal(self):
+        spec = JoinSpec(location_width=1, count_width_r=0, count_width_s=np.float64(2.0))
+        assert spec.location_width == 1
+
+    def test_negative_width_no_longer_shrinks_traffic(self):
+        """A negative width used to run and report fewer bytes than width 0."""
+        cluster = Cluster(4)
+        keys = np.arange(2000, dtype=np.int64)
+        table_r, table_s = make_tables(cluster, keys, keys)
+        zero = TrackJoin4().run(cluster, table_r, table_s, JoinSpec(location_width=0.0))
+        assert zero.network_bytes > 0
+        with pytest.raises(ValidationError):
+            TrackJoin4().run(cluster, table_r, table_s, JoinSpec(location_width=-1.0))
+
+
+def _counting_operators():
+    """Every registry entry plus the rid-based and Bloom-filtered joins."""
+    factories = {name: (lambda name=name: create(name)) for name in algorithm_names()}
+    factories["LMHJ"] = LateMaterializationHashJoin
+    factories["TAHJ"] = TrackingAwareHashJoin
+    factories["BF+HJ"] = lambda: SemiJoinFilteredJoin(GraceHashJoin())
+    factories["BF+4TJ"] = lambda: SemiJoinFilteredJoin(TrackJoin4())
+    return factories
+
+
+COUNTING_OPERATORS = _counting_operators()
+
+
+def _count_inputs(kind: str, num_nodes: int):
+    if kind == "unique":
+        cluster = Cluster(num_nodes)
+        keys = np.arange(1200, dtype=np.int64)
+        return make_tables(cluster, keys, np.random.default_rng(1).permutation(keys), seed=2)
+    wl = hot_key_workload(
+        num_nodes=num_nodes, tuples_per_table=600, distinct_keys=80, seed=3
+    )
+    return wl.table_r, wl.table_s
+
+
+def _assert_counting_matches(full, lean, num_nodes):
+    """Everything but the output payloads agrees between the two runs."""
+    assert lean.output is None
+    assert full.output is not None
+    assert lean.output_rows == full.output_rows
+    for attr in ("total_bytes", "local_bytes", "message_count", "retransmit_count"):
+        assert getattr(lean.traffic, attr) == getattr(full.traffic, attr), attr
+    assert lean.traffic.breakdown() == full.traffic.breakdown()
+    assert lean.traffic.by_link == full.traffic.by_link
+    assert lean.traffic.retransmit_breakdown() == full.traffic.retransmit_breakdown()
+    assert len(lean.profile.steps) == len(full.profile.steps)
+    for a, b in zip(lean.profile.steps, full.profile.steps):
+        assert (a.name, a.kind, a.rate_class) == (b.name, b.kind, b.rate_class)
+        assert np.array_equal(a.per_node_bytes, b.per_node_bytes), a.name
+    model = paper_cluster_2014(num_nodes)
+    assert model.total_seconds(lean.profile) == model.total_seconds(full.profile)
+
+
+class TestCountingEqualsMaterializing:
+    """``materialize=False`` only skips building the output.
+
+    The materializing run is the oracle: the counting run must report
+    the same row count, the same traffic ledger down to each link and
+    retransmit class, and the same profile steps and modeled seconds.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("kind", ["unique", "hot"])
+    @pytest.mark.parametrize("num_nodes", [1, 3, 8])
+    @pytest.mark.parametrize("name", sorted(COUNTING_OPERATORS))
+    def test_counting_run_matches(self, name, num_nodes, kind, workers):
+        table_r, table_s = _count_inputs(kind, num_nodes)
+        results = []
+        for materialize in (True, False):
+            cluster = Cluster(num_nodes, workers=workers)
+            operator = COUNTING_OPERATORS[name]()
+            results.append(
+                operator.run(cluster, table_r, table_s, JoinSpec(materialize=materialize))
+            )
+        _assert_counting_matches(*results, num_nodes)
+
+    @pytest.mark.parametrize("name", ["HJ", "BJ-S", "4TJ", "4TJ-shard", "TAHJ", "LMHJ"])
+    def test_counting_run_matches_under_faults(self, name):
+        plan = FaultPlan(seed=11, drop=0.2, duplicate=0.15, delay=0.1, reorder=0.3)
+        rng = np.random.default_rng(5)
+        keys_r, keys_s = rng.integers(0, 60, 300), rng.integers(0, 60, 450)
+        results = []
+        for materialize in (True, False):
+            cluster = Cluster(8, fault_plan=plan)
+            table_r, table_s = make_tables(cluster, keys_r, keys_s)
+            results.append(
+                COUNTING_OPERATORS[name]().run(
+                    cluster, table_r, table_s, JoinSpec(materialize=materialize)
+                )
+            )
+        assert results[0].traffic.retransmit_bytes > 0
+        _assert_counting_matches(*results, 8)
