@@ -35,7 +35,7 @@ experiments-smoke:
 	$(PYTHON) -m repro all
 
 # Static analysis: the project's REP determinism/aliasing rules plus
-# the whole-package REP007-REP011 dataflow pass always run; ruff and
+# the whole-package REP007-REP010 dataflow pass always run; ruff and
 # mypy run when installed (pip install -e .[dev]) and are mandatory in
 # CI.
 lint:
@@ -54,8 +54,9 @@ lint:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Tiny-scale perf gate: writes BENCH_joins.json and fails if any fused
-# kernel regresses more than 2x against benchmarks/bench_baseline.json.
+# Tiny-scale perf gate: writes BENCH_joins.json and fails if any kernel's
+# time or any join's peak allocation regresses more than 2x against
+# benchmarks/bench_baseline.json.
 bench-smoke:
 	$(PYTHON) -m repro bench-smoke
 
@@ -97,6 +98,7 @@ bench-skew:
 bench-skew-smoke:
 	$(PYTHON) -m repro bench-skew scaled_tuples=30000 distinct_keys=3000 hot_fraction=0.02
 
-# Full Figure 3 workload at 1/256 paper scale (slow, ~minutes).
+# Full Figure 3 workload at 1/256 paper scale (slow, ~minutes): kernel
+# and join wall clock, peak allocation and traffic, no baseline gate.
 bench-full:
 	$(PYTHON) -m repro bench-smoke scaled_tuples=3906250 repeats=2 warmup=1 baseline_path=/dev/null

@@ -1,11 +1,10 @@
-"""Microbenchmarks of the scatter fast-path kernels (loop vs fused).
+"""Microbenchmarks of the scatter kernels.
 
 Unlike the ``bench_fig*`` files these do not reproduce a paper figure;
 they time the storage primitives behind every distributed operator —
 bounded-dtype stable argsort, key-index build, ``split_by``,
-``hash_split``, and indexed ``join_indices`` — and assert the fused
-implementations actually beat (or at worst match) the loop reference
-they replaced.  Run with ``pytest benchmarks/bench_kernels.py``.
+``hash_split``, and indexed ``join_indices``.  Run with
+``pytest benchmarks/bench_kernels.py``.
 """
 
 from __future__ import annotations
@@ -17,29 +16,10 @@ from repro.perf.bench import _kernel_cases
 SCALE = 200_000
 NUM_NODES = 16
 
-_CASES = {name: (loop_fn, fused_fn) for name, loop_fn, fused_fn in _kernel_cases(SCALE, NUM_NODES, seed=0)}
-
-#: Kernels where the fused variant must not lose to the loop reference.
-#: (index_build/distinct pay a one-off cache-build cost on purpose, so
-#: only the pure-kernel rewrites carry a hard never-slower assertion.)
-_MUST_WIN = {"stable_argsort", "split_by", "hash_split"}
+_CASES = dict(_kernel_cases(SCALE, NUM_NODES, seed=0))
 
 
-@pytest.mark.parametrize("mode", ["loop", "fused"])
 @pytest.mark.parametrize("name", sorted(_CASES))
-def test_kernel(benchmark, name, mode):
-    loop_fn, fused_fn = _CASES[name]
-    fn = loop_fn if mode == "loop" else fused_fn
+def test_kernel(benchmark, name):
     benchmark.group = f"kernel: {name}"
-    benchmark(fn)
-
-
-@pytest.mark.parametrize("name", sorted(_MUST_WIN))
-def test_fused_not_slower(name):
-    from repro.perf.bench import best_time
-
-    loop_fn, fused_fn = _CASES[name]
-    loop_s = best_time(loop_fn, repeats=3, warmup=1)
-    fused_s = best_time(fused_fn, repeats=3, warmup=1)
-    # 1.5x slack: the box is shared and timing is noisy.
-    assert fused_s <= loop_s * 1.5, f"{name}: fused {fused_s:.6f}s vs loop {loop_s:.6f}s"
+    benchmark(_CASES[name])

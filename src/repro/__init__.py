@@ -63,9 +63,7 @@ from .faults import (
     StragglerEvent,
 )
 from .parallel import (
-    ProcessExecutor,
     SerialExecutor,
-    SharedArray,
     ThreadExecutor,
     resolve_executor,
     set_default_workers,
@@ -101,8 +99,6 @@ __all__ = [
     "TrafficLedger",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
-    "SharedArray",
     "resolve_executor",
     "set_default_workers",
     "Schema",

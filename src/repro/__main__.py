@@ -11,7 +11,7 @@ Usage::
     python -m repro bench-skew           # skew ablation: 4TJ vs sharded 4TJ
     python -m repro serve-bench          # concurrent query-service throughput
     python -m repro lint                 # REP static analysis over src/repro
-    python -m repro lint --dataflow      # + whole-package REP007-REP011 pass
+    python -m repro lint --dataflow      # + whole-package REP007-REP010 pass
     python -m repro lint src tests format=json
     python -m repro lint --dataflow --format sarif --no-cache
     python -m repro chaos --seed 3       # fault-injection matrix, one seed
@@ -87,7 +87,7 @@ def _run_lint(args: list[str]) -> int:
     """The ``lint`` subcommand: REP static analysis.
 
     Bare arguments are files/directories to scan (default
-    ``src/repro``).  ``--dataflow`` adds the whole-package REP007–REP011
+    ``src/repro``).  ``--dataflow`` adds the whole-package REP007–REP010
     pass; ``--format text|json|sarif`` selects the reporter;
     ``--baseline FILE`` absorbs grandfathered findings;
     ``--write-baseline FILE`` records the current findings and exits 0;

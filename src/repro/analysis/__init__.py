@@ -38,8 +38,6 @@ mechanically, in three complementary layers:
               keys across operators
     REP009    no cache/pool structure access outside its owning lock
     REP010    no unbounded blocking calls on QueryService driver paths
-    REP011    no in-place mutation of a SharedArray view after handoff
-              to another task
     ========  ==========================================================
 
 :mod:`repro.analysis.sanitizer`

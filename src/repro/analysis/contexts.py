@@ -1,6 +1,6 @@
 """Task-context inference, lock coverage, and mutation enumeration.
 
-Builds the concurrency-specific layers the REP007–REP011 rules share,
+Builds the concurrency-specific layers the REP007–REP010 rules share,
 on top of :mod:`repro.analysis.dataflow`'s package index:
 
 Task contexts

@@ -5,7 +5,7 @@ concurrency invariants introduced by the kernel thread pool (PR 7) and
 the concurrent query service (PR 8) are invisible at that granularity —
 whether a mutation races depends on *which thread reaches it*, and that
 is a property of the call graph, not of any single file.  This module
-builds the package-level picture the REP007–REP011 rules need:
+builds the package-level picture the REP007–REP010 rules need:
 
 :class:`PackageIndex` / :func:`build_package_index`
     Parses every scanned file once and records, per module: imports

@@ -15,7 +15,7 @@ Two rule kinds share the engine:
     of the package.
 
 :class:`DataflowRule`
-    Whole-package checks (REP007–REP011): run once against a
+    Whole-package checks (REP007–REP010): run once against a
     :class:`~repro.analysis.dataflow.PackageIndex` (symbol tables, call
     graph, task contexts) built over every scanned file, enabled with
     ``lint_paths(..., dataflow=True)`` / ``python -m repro lint
@@ -622,7 +622,7 @@ def lint_paths(
 
     ``dataflow=True`` additionally builds a
     :class:`~repro.analysis.dataflow.PackageIndex` over the scanned
-    files and runs the whole-package REP007–REP011 rules.  ``baseline``
+    files and runs the whole-package REP007–REP010 rules.  ``baseline``
     names a JSON file (or a preloaded multiset from
     :func:`load_baseline`) whose findings are absorbed into
     ``report.baselined`` instead of gating.  ``cache_dir`` enables the

@@ -536,7 +536,7 @@ class SwallowedException(Rule):
 
 
 # ---------------------------------------------------------------------------
-# Whole-package dataflow rules (REP007–REP011).
+# Whole-package dataflow rules (REP007–REP010).
 #
 # These run over the PackageIndex built by repro.analysis.dataflow: they
 # see the call graph and the inferred task contexts, so "reachable from
@@ -897,107 +897,3 @@ class DriverBlockingCall(DataflowRule):
         if tail == "acquire" and "blocking" not in kwargs:
             return f"{dotted}()"
         return None
-
-
-@register_dataflow_rule
-class SharedViewWriteAfterHandoff(DataflowRule):
-    """REP011: a SharedArray view handed to a task is frozen.
-
-    ``SharedArray`` views alias one buffer across tasks zero-copy; once
-    a view is passed to ``run_phase``/``run_chunks``/``.map``/
-    ``.submit``, an in-place numpy mutation on the dispatching side
-    races the task reading it.  Within one function body, a name bound
-    from ``SharedArray(...)`` or a ``.view()`` call must not be mutated
-    (subscript store, augmented assign, in-place ndarray method,
-    ``out=`` target) on a line after a dispatch call that received it,
-    unless rebound to a fresh object first.
-    """
-
-    code = "REP011"
-    summary = "SharedArray view mutated after handoff to a task"
-
-    def check_package(self, index) -> Iterator[Diagnostic]:
-        for qual, info in _function_items(index):
-            module = index.modules[info.module]
-            yield from self._check_function(index, module, info)
-
-    def _check_function(self, index, module, info) -> Iterator[Diagnostic]:
-        from .contexts import dispatch_kind, own_nodes
-
-        events: list[tuple[int, int, str, str, ast.AST]] = []
-        for node in own_nodes(info.node):
-            pos = (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        kind = (
-                            "track"
-                            if self._is_shared_view(node.value)
-                            else "rebind"
-                        )
-                        events.append((*pos, kind, target.id, node))
-                    elif isinstance(target, ast.Subscript) and isinstance(
-                        target.value, ast.Name
-                    ):
-                        events.append((*pos, "mutate", target.value.id, node))
-            elif isinstance(node, ast.AugAssign):
-                target = node.target
-                if isinstance(target, ast.Name):
-                    events.append((*pos, "mutate", target.id, node))
-                elif isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Name
-                ):
-                    events.append((*pos, "mutate", target.value.id, node))
-            elif isinstance(node, ast.Call):
-                chain = _attr_chain(node.func)
-                if (
-                    len(chain) >= 2
-                    and chain[-1] in _INPLACE_METHODS
-                ):
-                    events.append((*pos, "mutate", chain[0], node))
-                for kw in node.keywords:
-                    if kw.arg == "out" and isinstance(kw.value, ast.Name):
-                        events.append((*pos, "mutate", kw.value.id, node))
-                if dispatch_kind(node) is not None:
-                    for name in self._argument_names(node):
-                        events.append((*pos, "handoff", name, node))
-
-        events.sort(key=lambda event: (event[0], event[1]))
-        tracked: set[str] = set()
-        handed: dict[str, int] = {}
-        for line, _col, kind, name, node in events:
-            if kind == "track":
-                tracked.add(name)
-                handed.pop(name, None)
-            elif kind == "rebind":
-                tracked.discard(name)
-                handed.pop(name, None)
-            elif kind == "handoff" and name in tracked:
-                handed.setdefault(name, line)
-            elif kind == "mutate" and name in handed:
-                yield module.ctx.diagnostic(
-                    node,
-                    self.code,
-                    f"SharedArray view {name!r} is mutated after being "
-                    f"handed to a task on line {handed[name]}; the task "
-                    "reads the same buffer — mutate before dispatch or "
-                    "hand off a copy",
-                )
-
-    @staticmethod
-    def _is_shared_view(value: ast.AST) -> bool:
-        if not isinstance(value, ast.Call):
-            return False
-        chain = _attr_chain(value.func)
-        if not chain:
-            return False
-        return chain[-1] in ("SharedArray", "view")
-
-    @staticmethod
-    def _argument_names(call: ast.Call) -> set[str]:
-        names: set[str] = set()
-        for arg in (*call.args, *(kw.value for kw in call.keywords)):
-            for node in ast.walk(arg):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-        return names

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ScheduleError
-from ..fastpath import fused_enabled
 from ..util import segment_ids
 from .destinations import (
     migration_delta,
@@ -230,56 +229,6 @@ class ScheduleSet:
         return self.shard_dests[self.shard_offsets[key] : self.shard_offsets[key + 1]]
 
 
-def _direction_costs(
-    seg: np.ndarray,
-    starts: np.ndarray,
-    nodes: np.ndarray,
-    t_node_of_entry: np.ndarray,
-    size_b: np.ndarray,
-    size_t: np.ndarray,
-    location_width: float,
-    allow_migration: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cost and migration plan of one broadcast direction for all keys.
-
-    ``size_b`` is the broadcast side, ``size_t`` the target (potentially
-    migrating) side.  Returns ``(cost_per_key, migrate_per_entry,
-    dest_per_key)``.
-    """
-    num_entries = len(seg)
-    has_b = size_b > 0
-    has_t = size_t > 0
-    not_scheduler = nodes != t_node_of_entry
-
-    b_all = np.add.reduceat(size_b, starts)
-    t_holders = np.add.reduceat(has_t.astype(np.int64), starts)
-    b_local = np.add.reduceat(np.where(has_t, size_b, 0.0), starts)
-    b_nodes = np.add.reduceat((has_b & not_scheduler).astype(np.int64), starts)
-    base = b_all * t_holders - b_local + b_nodes * t_holders * location_width
-
-    migrate = np.zeros(num_entries, dtype=bool)
-    dest = np.full(len(starts), -1, dtype=np.int64)
-    if not allow_migration:
-        return base, migrate, dest
-
-    delta = (
-        size_b
-        + size_t
-        - b_all[seg]
-        - b_nodes[seg] * location_width
-        + np.where(not_scheduler, location_width, 0.0)
-    )
-
-    # The shared destination-choice core: forced stay at the
-    # maximal-delta holder, migrate every other holder with a negative
-    # delta, consolidate at the forced-stay node (Theorem 1).
-    migrate, _, dest, savings = segmented_consolidation(
-        seg, starts, nodes, delta, has_t
-    )
-    cost = base + savings
-    return cost, migrate, dest
-
-
 #: Keys per block in the paired schedule path.  The per-key pipeline
 #: touches ~25 temporaries, so blocks of 2^15 keys keep the whole
 #: working set (~6 MB) cache-resident instead of streaming every
@@ -386,25 +335,31 @@ def _both_direction_costs_paired(
     return (cost_rs, mig_rs, dest_rs), (cost_sr, mig_sr, dest_sr)
 
 
-def _both_direction_costs_fused(
-    seg: np.ndarray,
-    starts: np.ndarray,
-    nodes: np.ndarray,
-    t_nodes: np.ndarray,
-    size_r: np.ndarray,
-    size_s: np.ndarray,
-    location_width: float,
-    allow_migration: bool,
+def both_direction_plans(
+    tracking: TrackingTable,
+    location_width: float = 1.0,
+    allow_migration: bool = True,
+    seg: np.ndarray | None = None,
 ) -> tuple[tuple, tuple]:
-    """Both directions' costs and migration plans, sharing precomputation.
+    """Both optimized directions' plans for every key at once.
 
-    Bit-identical to calling :func:`_direction_costs` once per direction:
-    every per-element expression evaluates in the same operand order, so
-    near-tie direction choices cannot flip between the two forms.
-    ``t_nodes`` is per key; the per-entry expansion is only materialized
-    on the generic path — the paired path never needs it.
+    Returns ``((cost_rs, migrate_rs, dest_rs), (cost_sr, migrate_sr,
+    dest_sr))`` — per-key costs and default destinations, per-entry
+    migration masks.  This is the vectorized candidate evaluation
+    shared by :func:`generate_schedules` and the load-aware policies
+    (:mod:`repro.core.balance`, :mod:`repro.core.skew`), which differ
+    only in how they pick a direction and destination from these plans.
+    The two directions share their precomputation; keys with at most
+    two tracking entries each take the reduceat-free paired path.
     """
-    num_entries = len(seg)
+    starts = tracking.key_starts
+    nodes = tracking.nodes
+    t_nodes = tracking.t_nodes
+    size_r = tracking.size_r
+    size_s = tracking.size_s
+    num_entries = tracking.num_entries
+    if seg is None:
+        seg = segment_ids(starts, num_entries)
     counts = np.diff(np.append(starts, num_entries))
     if int(counts.max()) <= 2:
         return _both_direction_costs_paired(
@@ -457,60 +412,6 @@ def _both_direction_costs_fused(
         one_direction(base_rs, r_all, r_nodes, has_s),
         one_direction(base_sr, s_all, s_nodes, has_r),
     )
-
-
-def both_direction_plans(
-    tracking: TrackingTable,
-    location_width: float = 1.0,
-    allow_migration: bool = True,
-    seg: np.ndarray | None = None,
-) -> tuple[tuple, tuple]:
-    """Both optimized directions' plans for every key at once.
-
-    Returns ``((cost_rs, migrate_rs, dest_rs), (cost_sr, migrate_sr,
-    dest_sr))`` — per-key costs and default destinations, per-entry
-    migration masks.  This is the vectorized candidate evaluation
-    shared by :func:`generate_schedules` and the load-aware policies
-    (:mod:`repro.core.balance`, :mod:`repro.core.skew`), which differ
-    only in how they pick a direction and destination from these plans.
-    """
-    starts = tracking.key_starts
-    num_entries = tracking.num_entries
-    if seg is None:
-        seg = segment_ids(starts, num_entries)
-    if fused_enabled():
-        return _both_direction_costs_fused(
-            seg,
-            starts,
-            tracking.nodes,
-            tracking.t_nodes,
-            tracking.size_r,
-            tracking.size_s,
-            location_width,
-            allow_migration,
-        )
-    t_node_of_entry = tracking.t_nodes[seg]
-    plan_rs = _direction_costs(
-        seg,
-        starts,
-        tracking.nodes,
-        t_node_of_entry,
-        tracking.size_r,
-        tracking.size_s,
-        location_width,
-        allow_migration,
-    )
-    plan_sr = _direction_costs(
-        seg,
-        starts,
-        tracking.nodes,
-        t_node_of_entry,
-        tracking.size_s,
-        tracking.size_r,
-        location_width,
-        allow_migration,
-    )
-    return plan_rs, plan_sr
 
 
 def empty_schedule_set(tracking: TrackingTable) -> ScheduleSet:

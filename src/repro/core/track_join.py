@@ -34,7 +34,6 @@ from ..exchange.gather import absorb_received
 from ..exchange.locations import LocationExchange
 from ..exchange.migrate import Migrate, ShardedMigrate
 from ..exchange.selective import SelectiveBroadcast
-from ..fastpath import fused_enabled
 from ..joins.base import DistributedJoin, JoinSpec, NodeOutputs
 from ..joins.local import concat_join_side, join_cardinality, local_join
 from ..storage.table import DistributedTable, LocalPartition
@@ -75,7 +74,7 @@ class _TrackJoinBase(DistributedJoin):
             # Schedule generation happens at the T nodes; its work is
             # linear in the number of tracked (key, node) entries.
             entry_footprint = key_width + spec.location_width + spec.count_width_r
-            if fused_enabled() and float(entry_footprint).is_integer():
+            if float(entry_footprint).is_integer():
                 # count x width: exact for integer widths, and avoids
                 # both the per-entry t-node gather and the constant
                 # weights array.

@@ -23,7 +23,6 @@ import numpy as np
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
 from ..exchange.base import send_to
-from ..fastpath import fused_enabled
 from ..storage.table import DistributedTable
 from ..timing.profile import ExecutionProfile
 from ..util import hash_partition, segment_boundaries
@@ -96,14 +95,11 @@ def run_tracking_phase(
     width_s = table_s.schema.tuple_width(spec.encoding)
     key_width = table_r.schema.key_width(spec.encoding)
 
-    fused = fused_enabled()
     sides = (
         ("R", table_r, width_r, spec.count_width_r),
         ("S", table_s, width_s, spec.count_width_s),
     )
     all_keys: list[np.ndarray] = []
-    all_nodes: list[np.ndarray] = []
-    all_sizes: dict[str, list[np.ndarray]] = {"R": [], "S": []}
     stream_sizes: list[np.ndarray] = []
     stream_nodes: list[int] = []
     r_entries = 0
@@ -113,10 +109,7 @@ def run_tracking_phase(
         side, table, width, count_width = sides[task // num_nodes]
         node = task % num_nodes
         partition = table.partitions[node]
-        if fused:
-            distinct, counts = partition.distinct_with_counts()
-        else:
-            distinct, counts = np.unique(partition.keys, return_counts=True)
+        distinct, counts = partition.distinct_with_counts()
         # Local sort + key aggregation (dedup) before tracking, then the
         # hash partitioning of the (key [, count]) entries to ship.
         cpu_steps = [
@@ -135,16 +128,11 @@ def run_tracking_phase(
         if len(distinct) == 0:
             return None
         sizes = counts.astype(np.float64) * width
-        if fused:
-            plan = partition.distinct_scatter_plan(num_nodes, spec.hash_seed)
-            order, boundaries = plan.order, plan.bounds
-        else:
-            t_of_key = hash_partition(distinct, num_nodes, spec.hash_seed)
-            order = np.argsort(t_of_key, kind="stable")
-            boundaries = np.searchsorted(t_of_key[order], np.arange(num_nodes + 1))
+        plan = partition.distinct_scatter_plan(num_nodes, spec.hash_seed)
+        order, boundaries = plan.order, plan.bounds
         entries = np.diff(boundaries)
         dsts = np.flatnonzero(entries)
-        if fused and not spec.delta_keys:
+        if not spec.delta_keys:
             # Plain-coded tracking messages are sized purely by entry
             # count; skip materializing the key groups.
             per_entry = entries[dsts]
@@ -184,19 +172,12 @@ def run_tracking_phase(
             continue
         side, node, distinct, sizes = stream
         all_keys.append(distinct)
-        if fused:
-            # The per-stream node id stays scalar until (and unless)
-            # the merge below actually needs it expanded.
-            stream_nodes.append(node)
-            stream_sizes.append(sizes)
-            if side == "R":
-                r_entries += len(distinct)
-        else:
-            all_nodes.append(np.full(len(distinct), node, dtype=np.int64))
-            all_sizes[side].append(sizes)
-            all_sizes["S" if side == "R" else "R"].append(
-                np.zeros(len(distinct), dtype=np.float64)
-            )
+        # The per-stream node id stays scalar until (and unless) the
+        # merge below actually needs it expanded.
+        stream_nodes.append(node)
+        stream_sizes.append(sizes)
+        if side == "R":
+            r_entries += len(distinct)
 
     # Drain the tracking inboxes (size-only messages reach them only
     # under a fault plan; the union table below is the
@@ -208,121 +189,101 @@ def run_tracking_phase(
         empty = np.empty(0, dtype=np.int64)
         return TrackingTable(empty, empty, empty.astype(float), empty.astype(float), empty, empty)
 
-    if fused:
-        # Merge without the zero-padded mirror columns: concatenate one
-        # size stream per (side, node), group by (key, node), and sum
-        # each side's stream slice into its group with bincount.  Every
-        # group receives at most one nonzero contribution per side, so
-        # the sums are bit-identical to the padded reduceat form.
-        sizes = np.concatenate(stream_sizes)
-        # (key, node) lex order via one stable argsort of the packed
-        # composite — identical permutation to lexsort((nodes, keys))
-        # since nodes < num_nodes, and much faster because the streams
-        # are concatenated sorted runs, which timsort's run detection
-        # merges without a full sort.  Fall back for keys that overflow
-        # the packing.  Each distinct stream is sorted, so its min/max
-        # are its endpoints — no full scan.
-        min_key = min(int(d[0]) for d in all_keys)
-        max_key = max(int(d[-1]) for d in all_keys)
-        if min_key >= 0 and max_key < (1 << 62) // num_nodes:
-            # Pack per stream: the full keys/nodes entry columns are
-            # never materialized, saving their concatenations.  A 32-bit
-            # composite halves the sort's value traffic when it fits;
-            # the argsort permutation is identical either way.
-            if (max_key + 1) * num_nodes <= (1 << 31):
-                composite = np.concatenate(
-                    [
-                        d.astype(np.int32) * num_nodes + n
-                        for d, n in zip(all_keys, stream_nodes)
-                    ]
-                )
-            else:
-                composite = np.concatenate(
-                    [d * num_nodes + n for d, n in zip(all_keys, stream_nodes)]
-                )
-            # The streams are concatenated sorted runs; timsort's run
-            # detection merges them faster than a radix sort here.
-            order = np.argsort(composite, kind="stable")
-            # The packed composite is injective, so grouping and the
-            # merged (key, node) columns all come from its sorted form —
-            # one gather instead of separately sorting keys and nodes.
-            comp_sorted = composite[order]
-            is_new = np.empty(len(comp_sorted), dtype=bool)
-            is_new[0] = True
-            np.not_equal(comp_sorted[1:], comp_sorted[:-1], out=is_new[1:])
-            starts = np.flatnonzero(is_new)
-            comp_starts = comp_sorted[starts]
-            if num_nodes & (num_nodes - 1) == 0:
-                # Power-of-two node counts unpack with shift/mask —
-                # exact for the non-negative packed values.
-                shift = num_nodes.bit_length() - 1
-                merged_keys = comp_starts >> shift
-                merged_nodes = comp_starts & (num_nodes - 1)
-            else:
-                merged_keys = comp_starts // num_nodes
-                merged_nodes = comp_starts - merged_keys * num_nodes
-            # Restore the table's int64 column contract (no-op copies
-            # unless the 32-bit packing was taken).
-            merged_keys = merged_keys.astype(np.int64, copy=False)
-            merged_nodes = merged_nodes.astype(np.int64, copy=False)
-        else:
-            keys = np.concatenate(all_keys)
-            nodes = np.concatenate(
+    # Merge R and S entries of the same (key, node) into union rows:
+    # concatenate one size stream per (side, node), group by (key,
+    # node), and sum each side's stream slice into its group with
+    # bincount (every group receives at most one contribution per side).
+    sizes = np.concatenate(stream_sizes)
+    # (key, node) lex order via one stable argsort of the packed
+    # composite — identical permutation to lexsort((nodes, keys))
+    # since nodes < num_nodes, and much faster because the streams
+    # are concatenated sorted runs, which timsort's run detection
+    # merges without a full sort.  Fall back for keys that overflow
+    # the packing.  Each distinct stream is sorted, so its min/max
+    # are its endpoints — no full scan.
+    min_key = min(int(d[0]) for d in all_keys)
+    max_key = max(int(d[-1]) for d in all_keys)
+    if min_key >= 0 and max_key < (1 << 62) // num_nodes:
+        # Pack per stream: the full keys/nodes entry columns are
+        # never materialized, saving their concatenations.  A 32-bit
+        # composite halves the sort's value traffic when it fits;
+        # the argsort permutation is identical either way.
+        if (max_key + 1) * num_nodes <= (1 << 31):
+            composite = np.concatenate(
                 [
-                    np.full(len(d), n, dtype=np.int64)
+                    d.astype(np.int32) * num_nodes + n
                     for d, n in zip(all_keys, stream_nodes)
                 ]
             )
-            order = np.lexsort((nodes, keys))
-            keys = keys[order]
-            nodes = nodes[order]
-            is_new = np.empty(len(keys), dtype=bool)
-            is_new[0] = True
-            np.logical_or(
-                keys[1:] != keys[:-1], nodes[1:] != nodes[:-1], out=is_new[1:]
+        else:
+            composite = np.concatenate(
+                [d * num_nodes + n for d, n in zip(all_keys, stream_nodes)]
             )
-            starts = np.flatnonzero(is_new)
-            merged_keys = keys[starts]
-            merged_nodes = nodes[starts]
-        # 1-based group ids skip the extra full-length subtraction; the
-        # unused bin 0 is sliced away after the sums.
-        group_of_entry = np.empty(len(order), dtype=np.int64)
-        group_of_entry[order] = np.cumsum(is_new)
-        merged_r = np.bincount(
-            group_of_entry[:r_entries],
-            weights=sizes[:r_entries],
-            minlength=len(starts) + 1,
-        )[1:]
-        merged_s = np.bincount(
-            group_of_entry[r_entries:],
-            weights=sizes[r_entries:],
-            minlength=len(starts) + 1,
-        )[1:]
+        # The streams are concatenated sorted runs; timsort's run
+        # detection merges them faster than a radix sort here.
+        order = np.argsort(composite, kind="stable")
+        # The packed composite is injective, so grouping and the
+        # merged (key, node) columns all come from its sorted form —
+        # one gather instead of separately sorting keys and nodes.
+        comp_sorted = composite[order]
+        is_new = np.empty(len(comp_sorted), dtype=bool)
+        is_new[0] = True
+        np.not_equal(comp_sorted[1:], comp_sorted[:-1], out=is_new[1:])
+        starts = np.flatnonzero(is_new)
+        comp_starts = comp_sorted[starts]
+        if num_nodes & (num_nodes - 1) == 0:
+            # Power-of-two node counts unpack with shift/mask —
+            # exact for the non-negative packed values.
+            shift = num_nodes.bit_length() - 1
+            merged_keys = comp_starts >> shift
+            merged_nodes = comp_starts & (num_nodes - 1)
+        else:
+            merged_keys = comp_starts // num_nodes
+            merged_nodes = comp_starts - merged_keys * num_nodes
+        # Restore the table's int64 column contract (no-op copies
+        # unless the 32-bit packing was taken).
+        merged_keys = merged_keys.astype(np.int64, copy=False)
+        merged_nodes = merged_nodes.astype(np.int64, copy=False)
     else:
         keys = np.concatenate(all_keys)
-        nodes = np.concatenate(all_nodes)
-        size_r = np.concatenate(all_sizes["R"])
-        size_s = np.concatenate(all_sizes["S"])
-
-        # Merge R and S entries of the same (key, node) into union rows.
+        nodes = np.concatenate(
+            [
+                np.full(len(d), n, dtype=np.int64)
+                for d, n in zip(all_keys, stream_nodes)
+            ]
+        )
         order = np.lexsort((nodes, keys))
-        keys, nodes, size_r, size_s = keys[order], nodes[order], size_r[order], size_s[order]
+        keys = keys[order]
+        nodes = nodes[order]
         is_new = np.empty(len(keys), dtype=bool)
         is_new[0] = True
-        np.logical_or(keys[1:] != keys[:-1], nodes[1:] != nodes[:-1], out=is_new[1:])
+        np.logical_or(
+            keys[1:] != keys[:-1], nodes[1:] != nodes[:-1], out=is_new[1:]
+        )
         starts = np.flatnonzero(is_new)
         merged_keys = keys[starts]
         merged_nodes = nodes[starts]
-        merged_r = np.add.reduceat(size_r, starts)
-        merged_s = np.add.reduceat(size_s, starts)
-
+    # 1-based group ids skip the extra full-length subtraction; the
+    # unused bin 0 is sliced away after the sums.
+    group_of_entry = np.empty(len(order), dtype=np.int64)
+    group_of_entry[order] = np.cumsum(is_new)
+    merged_r = np.bincount(
+        group_of_entry[:r_entries],
+        weights=sizes[:r_entries],
+        minlength=len(starts) + 1,
+    )[1:]
+    merged_s = np.bincount(
+        group_of_entry[r_entries:],
+        weights=sizes[r_entries:],
+        minlength=len(starts) + 1,
+    )[1:]
     key_starts = segment_boundaries(merged_keys)
     t_nodes = hash_partition(merged_keys[key_starts], num_nodes, spec.hash_seed)
 
     # Receiving T nodes merge the incoming sorted (key, count) streams.
     entry_bytes = key_width + spec.count_width_r  # footprint per union entry
     entries_per_key = np.diff(np.append(key_starts, len(merged_keys)))
-    if fused and float(entry_bytes).is_integer():
+    if float(entry_bytes).is_integer():
         # count x width instead of summing a constant per entry: exact
         # for integer widths (every partial sum is an exact integer far
         # below 2**53), and skips the 1:1 repeat expansion.

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
-from ..fastpath import fused_enabled
 from ..timing.profile import ExecutionProfile
 
 __all__ = ["LocationExchange"]
@@ -70,7 +69,7 @@ class LocationExchange:
         if len(senders) == 0:
             return
         n = cluster.num_nodes
-        if fused_enabled() and n * n * n <= (1 << 20):
+        if n * n * n <= (1 << 20):
             # The (sender, receiver, value) triple domain is tiny: count
             # every triple with one bincount pass and read link totals
             # and per-link distinct values straight off the table — no
@@ -84,7 +83,7 @@ class LocationExchange:
             distinct_counts = link_distinct[links]
             group_src = links // n
             group_dst = links % n
-        elif fused_enabled() and n * n * n <= (1 << 62):
+        elif n * n * n <= (1 << 62):
             # Grouped distinct counting in one pass: sort the packed
             # (sender, receiver, value) triple, find link-group
             # boundaries, and count value changes per group — no

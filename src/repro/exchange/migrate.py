@@ -16,7 +16,6 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
-from ..fastpath import fused_enabled
 from ..joins.local import join_indices
 from ..storage.table import LocalPartition
 from ..timing.profile import ExecutionProfile
@@ -64,31 +63,22 @@ class Migrate:
         node's entry is replaced by its kept remainder; arrivals are
         absorbed later at the consolidation barrier.
         """
-        if fused_enabled():
-            # One radix sort splits the instructions by holder instead
-            # of one boolean scan per distinct holder; stability keeps
-            # each holder's instructions in the identical order.
-            order = stable_argsort_bounded(nodes, cluster.num_nodes)
-            bounds = np.searchsorted(nodes[order], np.arange(cluster.num_nodes + 1))
-            node_groups = [
-                (node, order[bounds[node] : bounds[node + 1]])
-                for node in range(cluster.num_nodes)
-                if bounds[node + 1] > bounds[node]
-            ]
-        else:
-            node_groups = [
-                (int(node), np.flatnonzero(nodes == node)) for node in np.unique(nodes)
-            ]
+        # One radix sort splits the instructions by holder; stability
+        # keeps each holder's instructions in their global order.
+        order = stable_argsort_bounded(nodes, cluster.num_nodes)
+        bounds = np.searchsorted(nodes[order], np.arange(cluster.num_nodes + 1))
+        node_groups = [
+            (node, order[bounds[node] : bounds[node + 1]])
+            for node in range(cluster.num_nodes)
+            if bounds[node + 1] > bounds[node]
+        ]
 
         def migrate_holder(group: int) -> None:
             node, rows_sel = node_groups[group]
             keys_here = keys[rows_sel]
             dest_here = dests[rows_sel]
             local = holders[node]
-            right_partition = local if fused_enabled() and local.num_rows else None
-            pair_pos, rows = join_indices(
-                keys_here, local.keys, right_partition=right_partition
-            )
+            pair_pos, rows = join_indices(keys_here, local.keys, right_partition=local)
             if len(rows) == 0:
                 return
             destinations = dest_here[pair_pos]
@@ -159,10 +149,7 @@ class ShardedMigrate:
             node, instr_sel = node_groups[group]
             keys_here = keys[instr_sel]
             local = holders[node]
-            right_partition = local if fused_enabled() and local.num_rows else None
-            pair_pos, rows = join_indices(
-                keys_here, local.keys, right_partition=right_partition
-            )
+            pair_pos, rows = join_indices(keys_here, local.keys, right_partition=local)
             if len(rows) == 0:
                 return
             # Group the matched rows by instruction, keeping their

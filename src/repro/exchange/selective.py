@@ -17,7 +17,6 @@ import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.network import MessageClass
-from ..fastpath import fused_enabled
 from ..joins.local import join_indices
 from ..storage.table import LocalPartition
 from ..timing.profile import ExecutionProfile
@@ -71,10 +70,7 @@ class SelectiveBroadcast:
         stable sort so every holder's pairs keep their global order.
         """
         num_nodes = cluster.num_nodes
-        if fused_enabled():
-            order = stable_argsort_bounded(pair_src, num_nodes)
-        else:
-            order = np.argsort(pair_src, kind="stable")
+        order = stable_argsort_bounded(pair_src, num_nodes)
         bounds = np.searchsorted(pair_src[order], np.arange(num_nodes + 1))
 
         def broadcast_holder(src: int) -> None:
@@ -84,9 +80,8 @@ class SelectiveBroadcast:
             keys_here = pair_key[rows]
             dst_here = pair_dst[rows]
             local = sources[src]
-            right_partition = local if fused_enabled() and local.num_rows else None
             pair_pos, local_rows = join_indices(
-                keys_here, local.keys, right_partition=right_partition
+                keys_here, local.keys, right_partition=local
             )
             profile.add_cpu_at(
                 self.translate_step,

@@ -14,7 +14,6 @@ from ..cluster.network import MessageClass
 from ..errors import ValidationError
 from ..exchange.broadcast import Broadcast
 from ..exchange.gather import drain_category
-from ..fastpath import fused_enabled
 from ..storage.table import DistributedTable, LocalPartition
 from ..timing.profile import ExecutionProfile
 from .base import DistributedJoin, JoinSpec, NodeOutputs
@@ -51,30 +50,20 @@ class BroadcastJoin(DistributedJoin):
         width = moving.schema.tuple_width(spec.encoding)
         Broadcast(category, width, step).scatter(cluster, profile, moving.partitions)
 
-        # On the fused path every node joins the same broadcast multiset,
-        # so the full table (and, via the final join, its key index) is
-        # assembled once and shared instead of re-concatenated and
-        # re-sorted per node.  The index is built here, before the join
-        # phase fans out, so concurrent node tasks only ever read it.
-        # Inboxes are still drained per node so the network sees
-        # identical deliveries.  A counting join needs only the keys.
-        shared_moving = (
-            concat_join_side(list(moving.partitions), spec.materialize)
-            if fused_enabled()
-            else None
-        )
-        if shared_moving is not None and shared_moving.num_rows and self.broadcast == "S":
+        # Every node joins the same broadcast multiset, so the full table
+        # (and, via the final join, its key index) is assembled once and
+        # shared instead of re-concatenated and re-sorted per node.  The
+        # index is built here, before the join phase fans out, so
+        # concurrent node tasks only ever read it.  Inboxes are still
+        # drained per node so the network sees identical deliveries.  A
+        # counting join needs only the keys.
+        full_moving = concat_join_side(list(moving.partitions), spec.materialize)
+        if full_moving.num_rows and self.broadcast == "S":
             # Only BJ-S probes the shared table as the join's right side.
-            shared_moving.key_index()
+            full_moving.key_index()
 
         def join_node(node: int) -> LocalPartition | int:
-            received = drain_category(cluster, node, category)
-            if shared_moving is not None:
-                full_moving = shared_moving
-            else:
-                full_moving = concat_join_side(
-                    [moving.partitions[node]] + received, spec.materialize
-                )
+            drain_category(cluster, node, category)
             local = staying.partitions[node]
             left, right = (full_moving, local) if self.broadcast == "R" else (local, full_moving)
             if spec.materialize:

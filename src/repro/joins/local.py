@@ -8,14 +8,12 @@ sort followed by merge-join for all local joins.
 
 The kernels accept an optional cached :class:`~repro.storage.table.KeyIndex`
 so a partition that participates in several phases (tracking, broadcast
-matching, final merge-join) is sorted once and probed many times.  With
-the fused scatter path disabled (``repro.fastpath``), they fall back to
-the reference implementation that re-sorts on every call.
+matching, final merge-join) is sorted once and probed many times.
 
-On the fused path the probe side is chunk-parallel: the right side's
-lookup structure (direct-address table or sorted index) is built once
-on the calling thread, then left-key chunks probe it concurrently
-through :mod:`repro.parallel.chunks`.  Every probe path emits its pairs
+The probe side is chunk-parallel: the right side's lookup structure
+(direct-address table or sorted index) is built once on the calling
+thread, then left-key chunks probe it concurrently through
+:mod:`repro.parallel.chunks`.  Every probe path emits its pairs
 in ascending left order, so concatenating per-chunk results in chunk
 order reproduces the serial output bit for bit.
 
@@ -31,7 +29,6 @@ import threading
 
 import numpy as np
 
-from ..fastpath import fused_enabled
 from ..parallel import chunks
 from ..storage.table import KeyIndex, LocalPartition
 from ..util import segment_boundaries, segment_count
@@ -228,11 +225,8 @@ def _probe_general_sorted(
     """General sorted-probe path with per-key cartesian expansion.
 
     The expansion uses one ``repeat`` plus gathers by the expanded left
-    id instead of the three-``repeat`` formulation of the loop
-    reference: ``repeat(lo, counts) == lo[left_local]`` and
-    ``repeat(cumsum(counts) - counts, counts) == (cumsum(counts) -
-    counts)[left_local]``, so the emitted pairs are bit-identical while
-    the two widest materializations become cache-friendly gathers.
+    id (``lo[left_local]`` rather than ``repeat(lo, counts)``), so the
+    two widest materializations are cache-friendly gathers.
     """
 
     def probe(start: int, stop: int):
@@ -273,12 +267,11 @@ def join_indices(
     ----------
     right_index:
         Optional cached index of ``keys_right`` (it must have been built
-        from the same array); reused instead of re-sorting.  Only
-        consulted on the fused path.
+        from the same array); reused instead of re-sorting.
     right_partition:
-        Optional partition owning ``keys_right``; lets the fused path
-        first try direct addressing and only then build (and cache) the
-        partition's key index.  Only consulted on the fused path.
+        Optional partition owning ``keys_right``; lets the probe first
+        try direct addressing and only then build (and cache) the
+        partition's key index.
 
     Returns
     -------
@@ -290,8 +283,6 @@ def join_indices(
     if len(keys_left) == 0 or len(keys_right) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    if not fused_enabled():
-        return _reference_join(keys_left, keys_right)
     return _probe(keys_left, keys_right, right_index, right_partition, count=False)
 
 
@@ -334,34 +325,6 @@ def _probe(
     return _probe_general_sorted(keys_left, order_right, sorted_right, count)
 
 
-def _reference_join(
-    keys_left: np.ndarray, keys_right: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Loop-mode reference: re-sort and expand with explicit repeats.
-
-    Deliberately kept as the simplest correct formulation; every fused
-    path above must reproduce its output row set exactly (the
-    equivalence suites compare against this).
-    """
-    order_right = np.argsort(keys_right, kind="stable")
-    sorted_right = keys_right[order_right]
-    lo = np.searchsorted(sorted_right, keys_left, side="left")
-    hi = np.searchsorted(sorted_right, keys_left, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    left_idx = np.repeat(np.arange(len(keys_left), dtype=np.int64), counts)
-    run_starts = np.repeat(lo, counts)
-    # Offset of each output row inside its match run.
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    right_idx = order_right[run_starts + offsets]
-    return left_idx, right_idx
-
-
 def local_join(
     left: LocalPartition,
     right: LocalPartition,
@@ -371,17 +334,12 @@ def local_join(
     """Materialized equi-join of two local partitions.
 
     Output columns are the join key plus both sides' payload columns,
-    name-prefixed to avoid collisions.  On the fused path the right
-    partition's cached key index is (built and) reused, so joining the
+    name-prefixed to avoid collisions.  The right partition's cached
+    key index is (built and) reused, so joining the
     same partition repeatedly never re-sorts it; payload gathers chunk
     over the output rows when kernel parallelism is on.
     """
-    right_partition = None
-    if fused_enabled() and right.num_rows and left.num_rows:
-        right_partition = right
-    left_idx, right_idx = join_indices(
-        left.keys, right.keys, right_partition=right_partition
-    )
+    left_idx, right_idx = join_indices(left.keys, right.keys, right_partition=right)
     columns: dict[str, np.ndarray] = {}
     for name, values in left.columns.items():
         columns[left_prefix + name] = chunks.chunked_gather(values, left_idx)
@@ -444,7 +402,7 @@ def match_mask(
     keys = np.asarray(keys, dtype=np.int64)
     if len(probe) == 0:
         return np.zeros(len(keys), dtype=bool)
-    if fused_enabled() and probe_index is not None:
+    if probe_index is not None:
         sorted_probe = probe_index.sorted_keys
     else:
         sorted_probe = np.sort(np.asarray(probe, dtype=np.int64))

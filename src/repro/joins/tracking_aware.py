@@ -201,7 +201,23 @@ class TrackingAwareHashJoin(DistributedJoin):
         )
 
         # Per (narrow rid, wide node) send-once bookkeeping, and per wide
-        # node the set of wide rids participating in the join.
+        # node the set of wide rids participating in the join.  Rid pairs
+        # are deduplicated as packed int64 keys — (node, pos, wide node)
+        # in mixed radix over the cluster size and the largest partition
+        # — whose numeric order is the lexicographic tuple order.
+        num_nodes = cluster.num_nodes
+        narrow_rows_max = max(p.num_rows for p in narrow_table.partitions)
+        wide_rows_max = max(p.num_rows for p in wide_table.partitions)
+
+        def by_node(packed: np.ndarray, stride: int):
+            """Sorted packed keys split into (node, per-node remainders)."""
+            nodes = np.unique(packed // stride)
+            bounds = np.searchsorted(packed, np.append(nodes, nodes[-1] + 1) * stride)
+            return nodes, [
+                packed[lo:hi] - node * stride
+                for node, lo, hi in zip(nodes.tolist(), bounds[:-1], bounds[1:])
+            ]
+
         def schedule_t_node(t_node: int):
             pair = pairs[t_node]
             if pair.num_rows == 0:
@@ -213,15 +229,11 @@ class TrackingAwareHashJoin(DistributedJoin):
             # Dedup (narrow tuple, destination) so each narrow tuple
             # crosses once per wide node; the rejoin by key restores the
             # full output at the destination.
-            combo = np.stack([n_node, n_pos, w_node], axis=1)
-            unique_send = np.unique(combo, axis=0)
+            unique_send = np.unique((n_node * narrow_rows_max + n_pos) * num_nodes + w_node)
             profile.add_cpu_at(
                 "Deduplicate rid pairs", "aggregate", t_node, pair.num_rows * 16.0
             )
-            jobs: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-            wides: list[tuple[int, np.ndarray]] = []
-            narrow_nodes = np.unique(unique_send[:, 0])
-            narrow_sel = [unique_send[unique_send[:, 0] == src] for src in narrow_nodes]
+            narrow_nodes, narrow_sel = by_node(unique_send, narrow_rows_max * num_nodes)
             # Instructions to the narrow nodes: (local rid, destination).
             send_to(
                 cluster, profile, MessageClass.RIDS, t_node, narrow_nodes,
@@ -230,22 +242,20 @@ class TrackingAwareHashJoin(DistributedJoin):
                 "Send narrow rids", None,
             )
             jobs: list[tuple[int, int, np.ndarray, np.ndarray]] = [
-                (int(src), t_node, sel[:, 1], sel[:, 2])
-                for src, sel in zip(narrow_nodes, narrow_sel)
+                (src, t_node, sel // num_nodes, sel % num_nodes)
+                for src, sel in zip(narrow_nodes.tolist(), narrow_sel)
             ]
-            combo_w = np.stack([w_node, w_pos], axis=1)
-            unique_wide = np.unique(combo_w, axis=0)
-            wide_nodes = np.unique(unique_wide[:, 0])
-            wide_sel = [unique_wide[unique_wide[:, 0] == dst] for dst in wide_nodes]
+            unique_wide = np.unique(w_node * wide_rows_max + w_pos)
+            wide_nodes, wide_sel = by_node(unique_wide, wide_rows_max)
             # The wide nodes learn which of their rids participate.
             send_to(
                 cluster, profile, MessageClass.RIDS, t_node, wide_nodes,
                 np.array([len(sel) for sel in wide_sel], dtype=np.float64) * rid_wide,
                 "Send wide rids", None,
             )
-            wides: list[tuple[int, np.ndarray]] = [
-                (int(dst), sel[:, 1]) for dst, sel in zip(wide_nodes, wide_sel)
-            ]
+            wides: list[tuple[int, np.ndarray]] = list(
+                zip(wide_nodes.tolist(), wide_sel)
+            )
             return jobs, wides
 
         scheduled = cluster.run_phase(schedule_t_node, profile=profile)

@@ -226,7 +226,7 @@ class MapReduceJob:
             record_idx = np.asarray(record_idx, dtype=np.int64)
             destinations = np.asarray(destinations, dtype=np.int64)
             # The routed expansion and the per-destination selection fuse
-            # into one gather on the fast path.
+            # into one gather.
             batches = outputs[node].split_by(
                 destinations, cluster.num_nodes, rows=record_idx
             )

@@ -1,4 +1,4 @@
-"""Parallel execution engine: worker pools, phase barriers, shared memory."""
+"""Parallel execution engine: worker pools, phase barriers, kernel chunking."""
 
 from .chunks import (
     kernel_chunk_rows,
@@ -9,7 +9,6 @@ from .chunks import (
 )
 from .executor import (
     PhaseExecutor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     default_workers,
@@ -18,14 +17,11 @@ from .executor import (
     run_phase,
     set_default_workers,
 )
-from .shm import SharedArray
 
 __all__ = [
     "PhaseExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
-    "SharedArray",
     "default_workers",
     "set_default_workers",
     "resolve_executor",

@@ -1,4 +1,4 @@
-"""Performance measurement and regression gating for the fast path."""
+"""Performance measurement and regression gating for kernels and joins."""
 
 from .bench import (
     bench_joins,

@@ -1,24 +1,26 @@
-"""Perf-regression harness for the vectorized scatter fast path.
+"""Perf-regression harness for the storage kernels and whole joins.
 
-The fast path (:mod:`repro.fastpath`) exists purely for wall-clock, so
-its gains have to be measured against the loop reference it replaced
-and defended against regressions.  This module provides both:
+Wall-clock and peak allocation are measured here and defended against
+regressions relative to a committed baseline:
 
-* :func:`bench_kernels` — microbenchmarks of the storage primitives in
-  both modes (bounded-dtype argsort, index build, ``split_by``,
-  ``hash_split``, ``join_indices``).
-* :func:`bench_joins` — end-to-end wall-clock and peak allocation of
-  whole join algorithms on the Figure 3 workload, loop vs fused, with a
-  byte-exactness check that both modes produced the identical
-  per-message-class traffic.
+* :func:`bench_kernels` — microbenchmarks of the storage primitives
+  (bounded-dtype argsort, index build, ``split_by``, ``hash_split``,
+  ``join_indices``).
+* :func:`bench_joins` — end-to-end wall-clock, peak allocation and
+  per-message-class traffic of whole join algorithms on the Figure 3
+  workload.
 * :func:`bench_scaling` — end-to-end wall-clock of whole joins across
   worker counts (the parallel engine's 1 → n cores curve), with a
   ledger-identity check proving every worker count produced
   byte-identical traffic.
 * :func:`bench_smoke` — the tiny-scale CI gate behind
   ``python -m repro bench-smoke``: writes ``BENCH_joins.json`` and
-  fails when any fused kernel runs more than ``threshold`` times
-  slower than the committed baseline.
+  fails when any kernel runs more than ``threshold`` times slower than
+  the committed baseline.
+
+The measured fields keep their historical ``fused_seconds`` /
+``fused_peak_bytes`` names so records stay comparable with the
+committed baseline.
 
 Timing is best-of-N after warmup because the benchmark box is shared
 and noisy; peak allocation is measured in a separate tracemalloc pass
@@ -37,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 from ..encoding import DictionaryEncoding
-from ..fastpath import FUSED, LOOP, use_scatter_mode
 from ..joins.base import JoinSpec
 from ..joins.local import join_indices
 from ..joins.registry import create
@@ -110,7 +111,7 @@ def _bench_spec() -> JoinSpec:
 
 
 def _kernel_cases(scaled_tuples: int, num_nodes: int, seed: int):
-    """(name, loop_fn, fused_fn) closures over one synthetic partition."""
+    """(name, fn) closures over one synthetic partition."""
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, max(1, scaled_tuples // 2), scaled_tuples).astype(np.int64)
     part = LocalPartition(
@@ -119,58 +120,24 @@ def _kernel_cases(scaled_tuples: int, num_nodes: int, seed: int):
     destinations = hash_partition(keys, num_nodes, seed)
     probe = rng.permutation(keys)[: scaled_tuples // 4]
 
-    def argsort_loop():
-        np.argsort(destinations, kind="stable")
-
-    def argsort_fused():
-        stable_argsort_bounded(destinations, num_nodes)
-
-    def index_build_loop():
-        order = np.argsort(part.keys, kind="stable")
-        part.keys[order]
-
-    def index_build_fused():
+    def index_build():
         part.invalidate_caches()
         part.key_index()
 
-    def distinct_loop():
-        np.unique(part.keys, return_counts=True)
-
-    def distinct_fused():
+    def distinct():
         part.invalidate_caches()
         part.distinct_with_counts()
 
-    def split_loop():
-        with use_scatter_mode(LOOP):
-            part.split_by(destinations, num_nodes)
-
-    def split_fused():
-        with use_scatter_mode(FUSED):
-            part.split_by(destinations, num_nodes)
-
-    def hash_split_loop():
-        with use_scatter_mode(LOOP):
-            part.hash_split(num_nodes, seed)
-
-    def hash_split_fused():
-        with use_scatter_mode(FUSED):
-            part.hash_split(num_nodes, seed)
-
-    def join_loop():
-        with use_scatter_mode(LOOP):
-            join_indices(probe, part.keys)
-
-    def join_fused():
-        with use_scatter_mode(FUSED):
-            join_indices(probe, part.keys, right_index=part.key_index())
-
     return [
-        ("stable_argsort", argsort_loop, argsort_fused),
-        ("index_build", index_build_loop, index_build_fused),
-        ("distinct_with_counts", distinct_loop, distinct_fused),
-        ("split_by", split_loop, split_fused),
-        ("hash_split", hash_split_loop, hash_split_fused),
-        ("join_indices", join_loop, join_fused),
+        ("stable_argsort", lambda: stable_argsort_bounded(destinations, num_nodes)),
+        ("index_build", index_build),
+        ("distinct_with_counts", distinct),
+        ("split_by", lambda: part.split_by(destinations, num_nodes)),
+        ("hash_split", lambda: part.hash_split(num_nodes, seed)),
+        (
+            "join_indices",
+            lambda: join_indices(probe, part.keys, right_index=part.key_index()),
+        ),
     ]
 
 
@@ -181,17 +148,11 @@ def bench_kernels(
     repeats: int = 3,
     warmup: int = 1,
 ) -> dict:
-    """Time every storage kernel in loop and fused mode."""
-    kernels = {}
-    for name, loop_fn, fused_fn in _kernel_cases(scaled_tuples, num_nodes, seed):
-        loop_s = best_time(loop_fn, repeats, warmup)
-        fused_s = best_time(fused_fn, repeats, warmup)
-        kernels[name] = {
-            "loop_seconds": loop_s,
-            "fused_seconds": fused_s,
-            "speedup": loop_s / fused_s if fused_s > 0 else float("inf"),
-        }
-    return kernels
+    """Best-of-``repeats`` seconds of every storage kernel."""
+    return {
+        name: {"fused_seconds": best_time(fn, repeats, warmup)}
+        for name, fn in _kernel_cases(scaled_tuples, num_nodes, seed)
+    }
 
 
 # -- end-to-end join benchmarks -----------------------------------------
@@ -206,79 +167,40 @@ def bench_joins(
     measure_memory: bool = True,
     algorithms=BENCH_ALGORITHMS,
 ) -> dict:
-    """Wall-clock loop vs fused for whole joins on the Fig. 3 workload.
+    """Wall-clock, peak allocation and traffic of whole joins (Fig. 3 workload).
 
-    Each mode gets its own workload instance (so fused-path caches never
-    leak into the loop baseline) but identical keys, placement, and
-    spec.  Timed repeats alternate between the modes so slow drifts of
-    the benchmark box hit both equally instead of biasing the ratio.
-    Both modes must produce byte-identical per-class traffic; a
-    mismatch raises instead of reporting a meaningless speedup.
+    A fault-free run must never account a retransmitted byte; one that
+    does raises instead of reporting its timing.
     """
     spec = _bench_spec()
     results = {}
     for label, factory in algorithms:
-        runners = {}
-        per_mode = {}
-        for mode in (LOOP, FUSED):
-            with use_scatter_mode(mode):
-                workload = unique_keys_workload(
-                    num_nodes=num_nodes, scaled_tuples=scaled_tuples, seed=seed
-                )
+        workload = unique_keys_workload(
+            num_nodes=num_nodes, scaled_tuples=scaled_tuples, seed=seed
+        )
 
-                def run(workload=workload):
-                    return factory().run(
-                        workload.cluster, workload.table_r, workload.table_s, spec
-                    )
-
-                runners[mode] = run
-                for _ in range(warmup):
-                    run()
-                per_mode[mode] = {"seconds": float("inf")}
-        for _ in range(repeats):
-            for mode in (LOOP, FUSED):
-                with use_scatter_mode(mode):
-                    start = time.perf_counter()
-                    runners[mode]()
-                    elapsed = time.perf_counter() - start
-                per_mode[mode]["seconds"] = min(per_mode[mode]["seconds"], elapsed)
-        for mode in (LOOP, FUSED):
-            with use_scatter_mode(mode):
-                result = runners[mode]()
-                traffic = {
-                    category.name: nbytes
-                    for category, nbytes in sorted(
-                        result.traffic.by_class.items(),
-                        key=lambda kv: kv[0].name,
-                    )
-                }
-                retransmit = float(result.traffic.retransmit_bytes)
-                peak = peak_alloc(runners[mode]) if measure_memory else None
-            per_mode[mode]["peak_bytes"] = peak
-            per_mode[mode]["traffic"] = traffic
-            per_mode[mode]["retransmit_bytes"] = retransmit
-        if per_mode[LOOP]["traffic"] != per_mode[FUSED]["traffic"]:
-            raise AssertionError(
-                f"{label}: fused traffic diverged from loop reference: "
-                f"{per_mode[FUSED]['traffic']} != {per_mode[LOOP]['traffic']}"
+        def run(workload=workload):
+            return factory().run(
+                workload.cluster, workload.table_r, workload.table_s, spec
             )
-        for mode in (LOOP, FUSED):
-            # The benches run without a fault plan, so any retransmitted
-            # byte means the fault-free fast path is paying recovery
-            # overhead it must provably never pay.
-            if per_mode[mode]["retransmit_bytes"] != 0.0:
-                raise AssertionError(
-                    f"{label}: fault-free run accounted "
-                    f"{per_mode[mode]['retransmit_bytes']} retransmitted bytes"
-                )
+
+        seconds = best_time(run, repeats, warmup)
+        result = run()
+        retransmit = float(result.traffic.retransmit_bytes)
+        if retransmit != 0.0:
+            raise AssertionError(
+                f"{label}: fault-free run accounted {retransmit} retransmitted bytes"
+            )
         results[label] = {
-            "loop_seconds": per_mode[LOOP]["seconds"],
-            "fused_seconds": per_mode[FUSED]["seconds"],
-            "speedup": per_mode[LOOP]["seconds"] / per_mode[FUSED]["seconds"],
-            "loop_peak_bytes": per_mode[LOOP]["peak_bytes"],
-            "fused_peak_bytes": per_mode[FUSED]["peak_bytes"],
-            "traffic_by_class": per_mode[FUSED]["traffic"],
-            "retransmit_bytes": per_mode[FUSED]["retransmit_bytes"],
+            "fused_seconds": seconds,
+            "fused_peak_bytes": peak_alloc(run) if measure_memory else None,
+            "traffic_by_class": {
+                category.name: nbytes
+                for category, nbytes in sorted(
+                    result.traffic.by_class.items(), key=lambda kv: kv[0].name
+                )
+            },
+            "retransmit_bytes": retransmit,
         }
     return results
 
@@ -308,9 +230,9 @@ def bench_scaling(
     """Wall-clock scaling curve of whole joins across worker counts.
 
     Each algorithm runs the Fig. 3 workload once per worker count (best
-    of ``repeats``), on the fused path with kernel chunking matched to
-    the worker count and exchange pipelining at ``pipeline_depth``
-    (serial runs keep strict barriers as the reference).  Every run's
+    of ``repeats``), with kernel chunking matched to the worker count
+    and exchange pipelining at ``pipeline_depth`` (serial runs keep
+    strict barriers as the reference).  Every run's
     traffic ledger — per-class and per-link — and its output row count
     must be identical to the serial (1-worker) reference; a divergence
     raises, because a scaling number for a run that computed something
@@ -350,71 +272,70 @@ def bench_scaling(
         },
         "algorithms": {},
     }
-    with use_scatter_mode(FUSED):
-        for label, factory in algorithms:
-            workload = unique_keys_workload(
-                num_nodes=num_nodes, scaled_tuples=scaled_tuples, seed=seed
-            )
-            seconds: dict[str, float] = {}
-            breakdown: dict[str, dict] = {}
-            reference_ledger = None
-            reference_rows = None
-            try:
-                for workers in worker_counts:
-                    workers = int(workers)
-                    workload.cluster.set_workers(workers)
-                    # Serial runs keep strict barriers and serial
-                    # kernels: they are the reference the parallel
-                    # runs must reproduce byte-for-byte.
-                    workload.cluster.set_pipeline_depth(
-                        pipeline_depth if workers > 1 else 1
-                    )
-                    chunks.set_kernel_workers(workers)
+    for label, factory in algorithms:
+        workload = unique_keys_workload(
+            num_nodes=num_nodes, scaled_tuples=scaled_tuples, seed=seed
+        )
+        seconds: dict[str, float] = {}
+        breakdown: dict[str, dict] = {}
+        reference_ledger = None
+        reference_rows = None
+        try:
+            for workers in worker_counts:
+                workers = int(workers)
+                workload.cluster.set_workers(workers)
+                # Serial runs keep strict barriers and serial
+                # kernels: they are the reference the parallel
+                # runs must reproduce byte-for-byte.
+                workload.cluster.set_pipeline_depth(
+                    pipeline_depth if workers > 1 else 1
+                )
+                chunks.set_kernel_workers(workers)
 
-                    def run():
-                        return factory().run(
-                            workload.cluster, workload.table_r, workload.table_s, spec
-                        )
-
-                    seconds[str(workers)] = best_time(run, repeats, warmup)
-                    result = run()
-                    breakdown[str(workers)] = result.profile.timing_totals()
-                    ledger = (
-                        sorted(
-                            (c.name, b) for c, b in result.traffic.by_class.items()
-                        ),
-                        sorted(result.traffic.by_link.items()),
+                def run():
+                    return factory().run(
+                        workload.cluster, workload.table_r, workload.table_s, spec
                     )
-                    if reference_ledger is None:
-                        reference_ledger = ledger
-                        reference_rows = result.output_rows
-                    elif ledger != reference_ledger:
-                        raise AssertionError(
-                            f"{label}: ledger with {workers} workers diverged "
-                            "from the serial reference"
-                        )
-                    elif result.output_rows != reference_rows:
-                        raise AssertionError(
-                            f"{label}: {workers}-worker run produced "
-                            f"{result.output_rows} rows, serial reference "
-                            f"produced {reference_rows}"
-                        )
-            finally:
-                workload.cluster.set_workers(1)
-                workload.cluster.set_pipeline_depth(1)
-                chunks.set_kernel_workers(None)
-            base = seconds[str(int(worker_counts[0]))]
-            speedups = {
-                w: (base / s if s > 0 else float("inf")) for w, s in seconds.items()
-            }
-            report["algorithms"][label] = {
-                "seconds": seconds,
-                "speedup_vs_1": speedups,
-                "ledger_identical": True,
-                "output_rows": reference_rows,
-                "phase_breakdown": breakdown,
-                "scaling_gate": _scaling_gate(label, speedups, host_cpus),
-            }
+
+                seconds[str(workers)] = best_time(run, repeats, warmup)
+                result = run()
+                breakdown[str(workers)] = result.profile.timing_totals()
+                ledger = (
+                    sorted(
+                        (c.name, b) for c, b in result.traffic.by_class.items()
+                    ),
+                    sorted(result.traffic.by_link.items()),
+                )
+                if reference_ledger is None:
+                    reference_ledger = ledger
+                    reference_rows = result.output_rows
+                elif ledger != reference_ledger:
+                    raise AssertionError(
+                        f"{label}: ledger with {workers} workers diverged "
+                        "from the serial reference"
+                    )
+                elif result.output_rows != reference_rows:
+                    raise AssertionError(
+                        f"{label}: {workers}-worker run produced "
+                        f"{result.output_rows} rows, serial reference "
+                        f"produced {reference_rows}"
+                    )
+        finally:
+            workload.cluster.set_workers(1)
+            workload.cluster.set_pipeline_depth(1)
+            chunks.set_kernel_workers(None)
+        base = seconds[str(int(worker_counts[0]))]
+        speedups = {
+            w: (base / s if s > 0 else float("inf")) for w, s in seconds.items()
+        }
+        report["algorithms"][label] = {
+            "seconds": seconds,
+            "speedup_vs_1": speedups,
+            "ledger_identical": True,
+            "output_rows": reference_rows,
+            "phase_breakdown": breakdown,
+            "scaling_gate": _scaling_gate(label, speedups, host_cpus),
+        }
     return report
 
 
@@ -716,10 +637,10 @@ def check_regressions(
     threshold: float = 2.0,
     joins: dict | None = None,
 ) -> list[str]:
-    """Fused kernels/joins worse than ``threshold``x their baseline.
+    """Kernels/joins worse than ``threshold``x their baseline.
 
     Covers wall-clock for every baseline kernel and — when both sides
-    measured it — fused peak allocation for every baseline join, so a
+    measured it — peak allocation for every baseline join, so a
     change that trades the traffic ledger's determinism-friendly
     materializations for bloated intermediates fails the same gate as a
     slowdown.  Null peaks (benches run with ``measure_memory=False``)
@@ -734,7 +655,7 @@ def check_regressions(
         limit = entry["fused_seconds"] * threshold
         if current["fused_seconds"] > limit:
             failures.append(
-                f"{name}: fused {current['fused_seconds']:.6f}s exceeds "
+                f"{name}: {current['fused_seconds']:.6f}s exceeds "
                 f"{threshold}x baseline {entry['fused_seconds']:.6f}s"
             )
     if joins is not None:
@@ -751,7 +672,7 @@ def check_regressions(
                 )
             elif peak > base_peak * threshold:
                 failures.append(
-                    f"{name}: fused peak {peak} bytes exceeds {threshold}x "
+                    f"{name}: peak {peak} bytes exceeds {threshold}x "
                     f"baseline {base_peak} bytes"
                 )
     return failures
@@ -801,9 +722,7 @@ def bench_smoke(
         peak = row["fused_peak_bytes"]
         peak_note = f"  peak {peak / 1e6:.1f}MB" if peak is not None else ""
         print(
-            f"  {label:7s} loop {row['loop_seconds']:.4f}s  "
-            f"fused {row['fused_seconds']:.4f}s  ({row['speedup']:.2f}x)"
-            f"{peak_note}"
+            f"  {label:7s} {row['fused_seconds']:.4f}s{peak_note}"
         )
     print(
         f"  chaos   {chaos['runs']} runs, "

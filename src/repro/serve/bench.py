@@ -147,14 +147,13 @@ def bench_serve(
     scaled_tuples: int = 20_000,
     seed: int = 0,
     workers: int = 1,
-    backend: str = "thread",
 ) -> dict:
     """One-at-a-time baseline vs the concurrent service, same stream.
 
     ``clients`` bounds the service's in-flight queries (driver
     threads); the default scales with the host — two per core, capped
     at 8 — because drivers beyond the physical cores only add GIL and
-    cache contention.  ``workers``/``backend`` configure the warm pool
+    cache contention.  ``workers`` configures the warm pool
     (the default single warm worker runs each query's phases inline on
     its driver thread, so inter-query concurrency comes from
     ``clients``).
@@ -184,7 +183,6 @@ def bench_serve(
     with QueryService(
         tables,
         workers=workers,
-        backend=backend,
         max_inflight=clients,
         max_queue=queries,
     ) as service:
@@ -226,7 +224,6 @@ def bench_serve(
             "scaled_tuples": scaled_tuples,
             "seed": seed,
             "workers": workers,
-            "backend": backend,
             "distinct_plans": len(mix),
         },
         "baseline": {

@@ -143,8 +143,8 @@ class QueryService:
     tables:
         Optional resident tables to register by name (convenience for
         :meth:`table`; plans reference table objects directly).
-    workers / backend:
-        Warm pool configuration (see :class:`WarmExecutorPool`).  With
+    workers:
+        Warm pool worker count (see :class:`WarmExecutorPool`).  With
         one worker, queries run their phases inline on the driver
         threads; inter-query concurrency then comes from
         ``max_inflight`` alone.
@@ -168,7 +168,6 @@ class QueryService:
         tables: dict[str, DistributedTable] | None = None,
         *,
         workers: int | None = None,
-        backend: str = "thread",
         max_inflight: int = 4,
         max_queue: int = 128,
         cache_capacity: int = 128,
@@ -182,7 +181,7 @@ class QueryService:
         self.max_inflight = max_inflight
         self.max_queue = max_queue
         self.fuse_rekey = fuse_rekey
-        self.pool = WarmExecutorPool(workers, backend)
+        self.pool = WarmExecutorPool(workers)
         self.cache = PlanCache(cache_capacity)
         self._counters = _ServiceCounters()
         self._track = shared_key("serve.service.counters")

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import PlacementError, SchemaError
-from ..fastpath import fused_enabled
 from ..parallel.chunks import (
     chunked_argsort_bounded,
     chunked_build,
@@ -279,23 +278,11 @@ class LocalPartition:
         """Scatter rows to ``num_buckets`` groups; ``None`` marks empty ones.
 
         ``destinations[i]`` routes row ``rows[i]`` (or row ``i`` when
-        ``rows`` is omitted).  The fused path performs one bounded-dtype
-        stable argsort (chunk-parallel when kernel workers are on) and a
-        single gather, then slices the result per bucket; the loop path
-        materializes one ``take()`` copy per bucket (the reference the
-        equivalence suite compares against).  Each bucket holds the same
-        rows in the same order either way.
+        ``rows`` is omitted).  One bounded-dtype stable argsort
+        (chunk-parallel when kernel workers are on) and a single gather,
+        then the result is sliced per bucket, so each bucket holds its
+        rows in their original relative order.
         """
-        if not fused_enabled():
-            base = self if rows is None else self.take(rows)
-            order = np.argsort(destinations, kind="stable")
-            bounds = np.searchsorted(destinations[order], np.arange(num_buckets + 1))
-            return [
-                base.take(order[bounds[dst] : bounds[dst + 1]])
-                if bounds[dst + 1] > bounds[dst]
-                else None
-                for dst in range(num_buckets)
-            ]
         order, counts = chunked_argsort_bounded(
             destinations, num_buckets, stable_argsort_bounded
         )
@@ -311,13 +298,10 @@ class LocalPartition:
     def hash_split(self, num_buckets: int, seed: int = 0) -> list["LocalPartition | None"]:
         """Scatter rows by key hash (the Grace repartitioning primitive).
 
-        The fused path reuses the cached :meth:`hash_scatter_plan`, so
-        repeated runs over the same partition skip both the hash and the
-        sort and pay only the gather.
+        Reuses the cached :meth:`hash_scatter_plan`, so repeated runs
+        over the same partition skip both the hash and the sort and pay
+        only the gather.
         """
-        if not fused_enabled():
-            destinations = hash_partition(self.keys, num_buckets, seed)
-            return self.split_by(destinations, num_buckets)
         plan = self.hash_scatter_plan(num_buckets, seed)
         gathered = self.take(plan.order)
         return [

@@ -1,10 +1,11 @@
 """Public testing utilities for downstream users of the library.
 
 Anyone extending the library with a new distributed join needs the
-same two checks the internal suite uses everywhere: *build comparable
-tables quickly* and *assert two algorithms produced the identical
-output multiset*.  These helpers are exported so extensions can reuse
-them instead of re-deriving canonicalization logic.
+same checks the internal suite uses everywhere: *build comparable
+tables quickly*, *assert two algorithms produced the identical output
+multiset*, and *compare an output against an independent oracle*.
+These helpers are exported so extensions can reuse them instead of
+re-deriving canonicalization logic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .storage.placement import random_uniform
 from .storage.schema import Schema
 from .storage.table import DistributedTable
 
-__all__ = ["scatter_tables", "canonical_output", "assert_same_output"]
+__all__ = ["scatter_tables", "canonical_output", "reference_join", "assert_same_output"]
 
 
 def scatter_tables(
@@ -62,6 +63,28 @@ def canonical_output(result: JoinResult) -> np.ndarray:
     )
     order = np.lexsort(matrix)
     return matrix[:, order]
+
+
+def reference_join(table_r: DistributedTable, table_s: DistributedTable) -> np.ndarray:
+    """Brute-force equi-join oracle in the shape of :func:`canonical_output`.
+
+    A pure-Python dictionary join over every partition's ``(key, rid)``
+    rows, sharing no code with the library's join kernels: it is the
+    row oracle distributed operators are checked against.  Both tables
+    must carry ``rid`` columns (as :func:`scatter_tables` produces).
+    """
+    s_rids: dict[int, list[int]] = {}
+    for partition in table_s.partitions:
+        for key, rid in zip(partition.keys.tolist(), partition.columns["rid"].tolist()):
+            s_rids.setdefault(key, []).append(rid)
+    rows = [
+        (key, r_rid, s_rid)
+        for partition in table_r.partitions
+        for key, r_rid in zip(partition.keys.tolist(), partition.columns["rid"].tolist())
+        for s_rid in s_rids.get(key, ())
+    ]
+    matrix = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return matrix[:, np.lexsort(matrix)]
 
 
 def assert_same_output(result_a: JoinResult, result_b: JoinResult) -> None:

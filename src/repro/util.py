@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fastpath import fused_enabled
 from .errors import ValidationError
 
 __all__ = [
@@ -224,7 +223,7 @@ def segmented_cartesian(a_seg: np.ndarray, b_seg: np.ndarray) -> tuple[np.ndarra
     if len(a_seg) == 0 or len(b_seg) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    if fused_enabled() and len(b_seg) and bool((b_seg[1:] > b_seg[:-1]).all()):
+    if bool((b_seg[1:] > b_seg[:-1]).all()):
         # Unique segments on the b side: every a element pairs with at
         # most one b element, so the expansion degenerates to a sorted
         # intersection.  Identical pairs in identical order either way.

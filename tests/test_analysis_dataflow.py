@@ -1,6 +1,6 @@
 """Tests for the whole-package phase-safety dataflow analyzer.
 
-Each REP007–REP011 rule gets a true-positive fixture package (must
+Each REP007–REP010 rule gets a true-positive fixture package (must
 fire) and a near-miss counterpart (must stay silent); the runtime race
 tracker, statement-span noqa suppression, the SARIF reporter, the
 baseline workflow, and the lint result cache are covered alongside, and
@@ -356,67 +356,6 @@ class TestRep010DriverBlockingCall:
         assert codes_in(report, "REP010") == []
 
 
-class TestRep011SharedViewWriteAfterHandoff:
-    def test_mutation_after_handoff_fires(self, tmp_path):
-        report = lint_package(
-            tmp_path,
-            {
-                "fan.py": (
-                    "def fanout(data, fill):\n"
-                    "    view = data.view()\n"
-                    "    run_chunks(fill, [view])\n"
-                    "    view[0] = 1\n"
-                )
-            },
-        )
-        assert codes_in(report, "REP011") == ["REP011"]
-        finding = next(d for d in report.diagnostics if d.code == "REP011")
-        assert "handed to a task" in finding.message
-
-    def test_shared_array_inplace_method_fires(self, tmp_path):
-        report = lint_package(
-            tmp_path,
-            {
-                "fan.py": (
-                    "def fanout(executor, fill, shape):\n"
-                    "    buffer = SharedArray(shape)\n"
-                    "    executor.submit(fill, buffer)\n"
-                    "    buffer.fill(0)\n"
-                )
-            },
-        )
-        assert codes_in(report, "REP011") == ["REP011"]
-
-    def test_mutation_before_handoff_is_clean(self, tmp_path):
-        report = lint_package(
-            tmp_path,
-            {
-                "fan.py": (
-                    "def fanout(data, fill):\n"
-                    "    view = data.view()\n"
-                    "    view[0] = 1\n"
-                    "    run_chunks(fill, [view])\n"
-                )
-            },
-        )
-        assert codes_in(report, "REP011") == []
-
-    def test_rebind_after_handoff_is_clean(self, tmp_path):
-        report = lint_package(
-            tmp_path,
-            {
-                "fan.py": (
-                    "def fanout(data, fill):\n"
-                    "    view = data.view()\n"
-                    "    run_chunks(fill, [view])\n"
-                    "    view = data.copy()\n"
-                    "    view[0] = 1\n"
-                )
-            },
-        )
-        assert codes_in(report, "REP011") == []
-
-
 class TestRaceTracker:
     def test_cross_thread_unlocked_write_raises(self):
         with sanitized():
@@ -550,7 +489,7 @@ class TestSarifReporter:
         assert sarif["version"] == "2.1.0"
         run = sarif["runs"][0]
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"REP007", "REP008", "REP009", "REP010", "REP011"} <= rule_ids
+        assert {"REP007", "REP008", "REP009", "REP010"} <= rule_ids
         results = run["results"]
         assert len(results) == 1
         assert results[0]["ruleId"] == "REP010"
@@ -679,7 +618,6 @@ class TestRepoSelfScan:
             "REP008",
             "REP009",
             "REP010",
-            "REP011",
         ]
         stats = summary["dataflow"]
         assert stats["modules"] > 50

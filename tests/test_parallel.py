@@ -1,26 +1,21 @@
 """Tests for the parallel execution engine.
 
-Covers the executor hierarchy, shared-memory buffers, phase barrier
-semantics on the cluster, and the headline determinism guarantee: a
-join's traffic ledger, profile, and output are bit-identical for any
-worker count.
+Covers the executor hierarchy, phase barrier semantics on the cluster,
+and the headline determinism guarantee: a join's traffic ledger,
+profile, and output are bit-identical for any worker count.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
 
 from repro import Cluster, GraceHashJoin, TrackJoin4, BroadcastJoin
 from repro.cluster.network import MessageClass
-from repro.errors import FaultExhaustedError, ParallelError, ValidationError
+from repro.errors import ValidationError
 from repro.joins import LateMaterializationHashJoin, TrackingAwareHashJoin
 from repro.parallel import (
-    ProcessExecutor,
     SerialExecutor,
-    SharedArray,
     ThreadExecutor,
     default_workers,
     resolve_executor,
@@ -32,27 +27,7 @@ from conftest import canonical_output, make_tables
 
 
 def _square(value: int) -> int:
-    """Module-level so the process pool can pickle it."""
     return value * value
-
-
-def _die_once(args: tuple[str, int]) -> int:
-    """Kill the worker process the first time, succeed afterwards."""
-    import os
-
-    flag, value = args
-    if not os.path.exists(flag):
-        with open(flag, "w") as handle:
-            handle.write("dead")
-        os._exit(1)
-    return value * 2
-
-
-def _always_die(_value: int) -> None:
-    """A worker that never survives its task."""
-    import os
-
-    os._exit(1)
 
 
 # -- executors -----------------------------------------------------------
@@ -84,24 +59,12 @@ class TestExecutors:
         finally:
             executor.close()
 
-    def test_process_map(self):
-        executor = ProcessExecutor(workers=2)
-        try:
-            assert executor.map(_square, range(5)) == [0, 1, 4, 9, 16]
-        finally:
-            executor.close()
-
     def test_resolve_executor(self):
         serial = resolve_executor(1)
         assert isinstance(serial, SerialExecutor)
         threaded = resolve_executor(4)
         assert isinstance(threaded, ThreadExecutor)
         threaded.close()
-        procs = resolve_executor(2, backend="process")
-        assert isinstance(procs, ProcessExecutor)
-        procs.close()
-        with pytest.raises(ParallelError):
-            resolve_executor(2, backend="carrier-pigeon")
 
     def test_default_workers_env(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
@@ -132,7 +95,7 @@ class TestExecutors:
         with pytest.raises(ValidationError):
             ThreadExecutor(workers=1.5)
         with pytest.raises(ValidationError):
-            ProcessExecutor(workers=True)
+            ThreadExecutor(workers=True)
         with pytest.raises(ValidationError):
             set_default_workers(-1)
         # ValidationError still is a ValueError, so parsers that caught
@@ -141,63 +104,6 @@ class TestExecutors:
             resolve_executor(0)
         # Integer-valued floats (a CLI parser artifact) are accepted.
         assert resolve_executor(1.0).workers == 1
-
-
-class TestProcessSupervisor:
-    def test_dead_worker_respawns_and_resubmits(self, tmp_path):
-        executor = ProcessExecutor(workers=2, max_respawns=2)
-        flag = str(tmp_path / "worker-died")
-        try:
-            results = executor.map(_die_once, [(flag, i) for i in range(4)])
-        finally:
-            executor.close()
-        assert results == [0, 2, 4, 6]
-
-    def test_respawn_budget_exhaustion_raises(self):
-        executor = ProcessExecutor(workers=2, max_respawns=1)
-        try:
-            with pytest.raises(FaultExhaustedError) as excinfo:
-                executor.map(_always_die, range(2))
-        finally:
-            executor.close()
-        assert excinfo.value.attempts == 2
-
-    def test_negative_respawn_budget_rejected(self):
-        with pytest.raises(ValidationError):
-            ProcessExecutor(workers=2, max_respawns=-1)
-
-
-# -- shared memory -------------------------------------------------------
-
-
-class TestSharedArray:
-    def test_roundtrip_and_pickle(self):
-        data = np.arange(256, dtype=np.int64).reshape(16, 16)
-        shared = SharedArray.copy_from(data)
-        try:
-            assert np.array_equal(shared.array(), data)
-            # Pickling transfers only the addressing triple; the attached
-            # copy sees the same physical pages.
-            clone = pickle.loads(pickle.dumps(shared))
-            try:
-                view = clone.array()
-                assert np.array_equal(view, data)
-                view[0, 0] = -1
-                assert shared.array()[0, 0] == -1
-            finally:
-                del view
-                clone.close()
-        finally:
-            shared.unlink()
-            shared.close()
-
-    def test_unlink_destroys_block(self):
-        shared = SharedArray.copy_from(np.ones(8))
-        name = shared.name
-        shared.close()
-        shared.unlink()
-        with pytest.raises(FileNotFoundError):
-            SharedArray(name, (8,), "<f8").array()
 
 
 # -- cluster phases ------------------------------------------------------

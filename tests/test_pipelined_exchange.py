@@ -18,7 +18,7 @@ from repro import Cluster, GraceHashJoin, JoinSpec, TrackJoin2, TrackJoin4
 from repro.cluster.cluster import default_pipeline_depth
 from repro.errors import ParallelError, ValidationError
 from repro.faults import FaultPlan
-from repro.parallel import ProcessExecutor, run_fused_phases
+from repro.parallel import run_fused_phases
 from repro.timing.profile import ExecutionProfile
 
 from conftest import assert_same_output, make_tables
@@ -203,34 +203,3 @@ class TestQueryPipelineKnob:
         assert cluster.pipeline_depth == 1  # restored
         assert strict.output_rows == pipelined.output_rows
         assert strict.network_bytes == pipelined.network_bytes
-
-
-class TestProcessExecutorBatching:
-    def test_batched_map_preserves_item_order(self):
-        executor = ProcessExecutor(workers=2)
-        try:
-            assert executor.map(_square, range(23)) == [i * i for i in range(23)]
-        finally:
-            executor.close()
-
-    def test_explicit_batch_size(self):
-        executor = ProcessExecutor(workers=2, batch_size=3)
-        try:
-            assert executor._batches(list(range(7))) == [[0, 1, 2], [3, 4, 5], [6]]
-            assert executor.map(_square, range(7)) == [i * i for i in range(7)]
-        finally:
-            executor.close()
-
-    def test_default_batches_one_per_worker(self):
-        executor = ProcessExecutor(workers=4)
-        assert executor._batches(list(range(10))) == [
-            [0, 1, 2],
-            [3, 4, 5],
-            [6, 7, 8],
-            [9],
-        ]
-        assert executor._batches([]) == []
-
-
-def _square(x):
-    return x * x

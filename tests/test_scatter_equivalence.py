@@ -1,13 +1,14 @@
-"""Golden equivalence of the fused scatter fast path vs the loop reference.
+"""Differential checks of the scatter-heavy paths against independent oracles.
 
-The storage layer and every distributed operator run in one of two
-modes (:mod:`repro.fastpath`): ``loop`` preserves the original
-per-destination Python loops verbatim, ``fused`` routes everything
-through cached key indexes and single-gather splits.  These properties
-pin the contract that makes the fast path safe to ship: for identical
-inputs the two modes must produce the identical output multiset, the
-identical per-link and per-class traffic ledger byte-for-byte, and the
-identical execution profile.
+Every distributed operator is compared with
+:func:`repro.testing.reference_join`, a brute-force dictionary join that
+shares no code with the library's kernels: the output multiset must
+equal the oracle's rows under ``materialize=True`` and the counted
+cardinality must equal its row count under ``materialize=False``.  The
+traffic ledger must not depend on the mode (materialization or worker
+count).  Vectorized schedule generation is checked per key against the
+scalar :func:`~repro.core.schedule.optimal_schedule` routines, and the
+``split_by``/``hash_split`` primitives against per-bucket boolean masks.
 """
 
 from __future__ import annotations
@@ -15,32 +16,63 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro import (
-    BroadcastJoin,
-    Cluster,
-    GraceHashJoin,
-    TrackJoin2,
-    TrackJoin3,
-    TrackJoin4,
+from repro import Cluster, GraceHashJoin, TrackJoin4
+from repro.core.schedule import (
+    BroadcastPlan,
+    both_direction_plans,
+    generate_schedules,
+    migrate_and_broadcast,
+    optimal_schedule,
+    selective_broadcast_cost,
 )
-from repro.core.schedule import generate_schedules
 from repro.core.tracking import TrackingTable
-from repro.fastpath import FUSED, LOOP, use_scatter_mode
+from repro.joins.base import JoinSpec
+from repro.joins.registry import algorithm_names, create
+from repro.joins.semijoin import SemiJoinFilteredJoin
 from repro.joins.tracking_aware import LateMaterializationHashJoin, TrackingAwareHashJoin
 from repro.storage.table import LocalPartition
-from repro.util import segment_boundaries
+from repro.testing import reference_join
+from repro.util import hash_partition, segment_boundaries
+from repro.workloads.synthetic import hot_key_workload, unique_keys_workload
 
 from conftest import canonical_output, make_tables
 
-ALGORITHMS = (
-    lambda: TrackJoin2("RS"),
-    lambda: TrackJoin2("SR"),
-    TrackJoin3,
-    TrackJoin4,
-    GraceHashJoin,
-    lambda: BroadcastJoin("R"),
-    lambda: BroadcastJoin("S"),
+#: Every registry entry plus the rid-based and Bloom-filtered operators.
+ALGORITHMS = tuple((name, lambda name=name: create(name)) for name in algorithm_names()) + (
+    ("LMHJ", LateMaterializationHashJoin),
+    ("TAHJ", TrackingAwareHashJoin),
+    ("BF+HJ", lambda: SemiJoinFilteredJoin(GraceHashJoin())),
+    ("BF+4TJ", lambda: SemiJoinFilteredJoin(TrackJoin4())),
 )
+
+
+def ledger(result):
+    return result.traffic.by_class, result.traffic.by_link, result.traffic.local_bytes
+
+
+def assert_matches_oracle(cluster, table_r, table_s, worker_counts, context):
+    """Every operator, both materialization modes, against the oracle."""
+    expected = reference_join(table_r, table_s)
+    for label, factory in ALGORITHMS:
+        reference_ledger = None
+        for workers in worker_counts:
+            cluster.set_workers(workers)
+            try:
+                full = factory().run(cluster, table_r, table_s, JoinSpec(materialize=True))
+                counted = factory().run(
+                    cluster, table_r, table_s, JoinSpec(materialize=False)
+                )
+            finally:
+                cluster.set_workers(1)
+            where = f"{label} {context} workers={workers}"
+            rows = canonical_output(full)
+            assert rows.shape == expected.shape, where
+            assert np.array_equal(rows, expected), where
+            assert counted.output_rows == expected.shape[1], where
+            for result in (full, counted):
+                if reference_ledger is None:
+                    reference_ledger = ledger(result)
+                assert ledger(result) == reference_ledger, where
 
 
 @st.composite
@@ -48,13 +80,19 @@ def join_instance(draw):
     num_nodes = draw(st.integers(2, 6))
     keys_r = draw(st.lists(st.integers(0, 40), min_size=0, max_size=120))
     keys_s = draw(st.lists(st.integers(0, 40), min_size=0, max_size=120))
+    # A wide stride makes the key span too sparse for direct addressing,
+    # so the sorted probe paths run too.
+    stride = draw(st.sampled_from([1, 1_000_003]))
     seed = draw(st.integers(0, 1000))
-    return num_nodes, keys_r, keys_s, seed
+    return num_nodes, [k * stride for k in keys_r], [k * stride for k in keys_s], seed
 
 
-def run_in_mode(mode, factory, instance):
-    num_nodes, keys_r, keys_s, seed = instance
-    with use_scatter_mode(mode):
+class TestJoinEquivalence:
+    @settings(max_examples=12, deadline=None)
+    @given(join_instance())
+    def test_all_algorithms_identical_across_modes(self, instance):
+        """Random duplicate-heavy, dense or sparse inputs (and empty sides)."""
+        num_nodes, keys_r, keys_s, seed = instance
         cluster = Cluster(num_nodes)
         table_r, table_s = make_tables(
             cluster,
@@ -62,43 +100,52 @@ def run_in_mode(mode, factory, instance):
             np.array(keys_s, dtype=np.int64),
             seed=seed,
         )
-        return factory().run(cluster, table_r, table_s)
+        assert_matches_oracle(cluster, table_r, table_s, (1,), f"N={num_nodes}")
 
+    def test_rid_joins_identical_across_modes(self):
+        """Unique, hot-key and sparse duplicate-key inputs at N in {1, 2, 8},
+        serial and threaded."""
+        rng = np.random.default_rng(5)
+        for num_nodes in (1, 2, 8):
+            cases = [
+                unique_keys_workload(num_nodes=num_nodes, scaled_tuples=240, seed=1),
+                hot_key_workload(
+                    num_nodes=num_nodes, tuples_per_table=300, distinct_keys=30, seed=2
+                ),
+            ]
+            inputs = [
+                (w.name, w.cluster, w.table_r, w.table_s) for w in cases
+            ]
+            # Keys too sparse for direct addressing, with duplicates on
+            # both sides: the general sorted probe's expansion.
+            cluster = Cluster(num_nodes)
+            inputs.append(
+                (
+                    "sparse",
+                    cluster,
+                    *make_tables(
+                        cluster,
+                        rng.integers(0, 60, 300) * 1_000_003,
+                        rng.integers(0, 60, 300) * 1_000_003,
+                        seed=num_nodes,
+                    ),
+                )
+            )
+            for name, cluster, table_r, table_s in inputs:
+                assert_matches_oracle(
+                    cluster, table_r, table_s, (1, 4), f"{name} N={num_nodes}"
+                )
 
-def assert_profiles_identical(loop_profile, fused_profile):
-    assert [(s.name, s.kind, s.rate_class) for s in loop_profile.steps] == [
-        (s.name, s.kind, s.rate_class) for s in fused_profile.steps
-    ]
-    for loop_step, fused_step in zip(loop_profile.steps, fused_profile.steps):
-        assert np.array_equal(loop_step.per_node_bytes, fused_step.per_node_bytes), (
-            loop_step.name
+    def test_reference_join_is_a_cartesian_product_per_key(self):
+        cluster = Cluster(2)
+        table_r, table_s = make_tables(
+            cluster, np.array([5, 5, 7, 9]), np.array([5, 7, 7, 8]), seed=3
         )
-
-
-class TestJoinEquivalence:
-    @settings(max_examples=8, deadline=None)
-    @given(join_instance())
-    def test_all_algorithms_identical_across_modes(self, instance):
-        """Output multiset, ledger, and profile match exactly per mode."""
-        for factory in ALGORITHMS:
-            loop = run_in_mode(LOOP, factory, instance)
-            fused = run_in_mode(FUSED, factory, instance)
-            assert np.array_equal(canonical_output(loop), canonical_output(fused))
-            assert loop.traffic.by_class == fused.traffic.by_class
-            assert loop.traffic.by_link == fused.traffic.by_link
-            assert loop.traffic.local_bytes == fused.traffic.local_bytes
-            assert_profiles_identical(loop.profile, fused.profile)
-
-    @settings(max_examples=6, deadline=None)
-    @given(join_instance())
-    def test_rid_joins_identical_across_modes(self, instance):
-        """The rid-based baselines also ride the fast path unchanged."""
-        for factory in (LateMaterializationHashJoin, TrackingAwareHashJoin):
-            loop = run_in_mode(LOOP, factory, instance)
-            fused = run_in_mode(FUSED, factory, instance)
-            assert np.array_equal(canonical_output(loop), canonical_output(fused))
-            assert loop.traffic.by_class == fused.traffic.by_class
-            assert loop.traffic.by_link == fused.traffic.by_link
+        rows = reference_join(table_r, table_s)
+        assert rows.shape == (3, 4)
+        assert sorted(rows[0].tolist()) == [5, 5, 7, 7]
+        empty = make_tables(cluster, np.array([1]), np.array([2]))
+        assert reference_join(*empty).shape == (3, 0)
 
 
 @st.composite
@@ -130,23 +177,70 @@ def tracking_instance(draw):
     )
 
 
+def assert_schedules_match_scalar(tracking, location_width, allow_migration):
+    """Vectorized plans equal the scalar routines key by key, exactly.
+
+    Integer sizes and dyadic location widths keep every cost exact in
+    float64, so costs, directions, migrations and destinations must
+    agree bit for bit however the two forms order their operations.
+    """
+    schedules = generate_schedules(tracking, location_width, allow_migration)
+    plans = both_direction_plans(tracking, location_width, allow_migration)
+    bounds = np.append(tracking.key_starts, tracking.num_entries)
+    for key in range(len(tracking.key_starts)):
+        entries = np.arange(bounds[key], bounds[key + 1])
+        nodes = tracking.nodes[entries].tolist()
+        sizes_r = dict(zip(nodes, tracking.size_r[entries].tolist()))
+        sizes_s = dict(zip(nodes, tracking.size_s[entries].tolist()))
+        t_node = int(tracking.t_nodes[key])
+        if allow_migration:
+            scalar = {
+                "RS": migrate_and_broadcast(sizes_r, sizes_s, t_node, location_width),
+                "SR": migrate_and_broadcast(sizes_s, sizes_r, t_node, location_width),
+            }
+        else:
+            scalar = {
+                "RS": plain_plan(sizes_r, sizes_s, t_node, location_width),
+                "SR": plain_plan(sizes_s, sizes_r, t_node, location_width),
+            }
+        for direction, (cost, migrate, dest) in zip(("RS", "SR"), plans):
+            plan = scalar[direction]
+            assert cost[key] == plan.cost, (key, direction)
+            moved = {nodes[i] for i in np.flatnonzero(migrate[entries])}
+            assert moved == set(plan.migrating_nodes), (key, direction)
+            expected_dest = -1 if plan.destination is None else plan.destination
+            assert dest[key] == expected_dest, (key, direction)
+        # Ties resolve to S -> R on both sides (strict ``RScost < SRcost``).
+        chosen = "RS" if scalar["RS"].cost < scalar["SR"].cost else "SR"
+        assert bool(schedules.direction_rs[key]) == (chosen == "RS"), key
+        assert schedules.cost[key] == scalar[chosen].cost, key
+        moved = {nodes[i] for i in np.flatnonzero(schedules.migrate[entries])}
+        assert moved == set(scalar[chosen].migrating_nodes), key
+        if allow_migration:
+            assert optimal_schedule(sizes_r, sizes_s, t_node, location_width).direction == chosen
+
+
+def plain_plan(broadcast_sizes, target_sizes, t_node, location_width):
+    """The no-migration (3-phase) plan of one direction."""
+    return BroadcastPlan(
+        cost=selective_broadcast_cost(broadcast_sizes, target_sizes, t_node, location_width),
+        migration_cost=0.0,
+        migrating_nodes=(),
+        destination=None,
+    )
+
+
+dyadic_widths = st.integers(0, 32).map(lambda quarters: quarters / 4)
+
+
 class TestScheduleEquivalence:
     @settings(max_examples=30, deadline=None)
-    @given(tracking_instance(), st.floats(0.0, 8.0), st.booleans())
+    @given(tracking_instance(), dyadic_widths, st.booleans())
     def test_generate_schedules_bitwise_identical(
         self, tracking, location_width, allow_migration
     ):
-        """Fused dual-direction costing matches two reference passes."""
-        with use_scatter_mode(LOOP):
-            loop = generate_schedules(tracking, location_width, allow_migration)
-        with use_scatter_mode(FUSED):
-            fused = generate_schedules(tracking, location_width, allow_migration)
-        assert np.array_equal(loop.direction_rs, fused.direction_rs)
-        assert np.array_equal(loop.cost, fused.cost)
-        assert np.array_equal(loop.cost_rs, fused.cost_rs)
-        assert np.array_equal(loop.cost_sr, fused.cost_sr)
-        assert np.array_equal(loop.migrate, fused.migrate)
-        assert np.array_equal(loop.dest_node, fused.dest_node)
+        """Generic (any entries per key) costing equals the scalar oracle."""
+        assert_schedules_match_scalar(tracking, location_width, allow_migration)
 
     def test_paired_shape_exercises_blocked_path(self):
         """All-pairs tables (<=2 entries/key) hit the blocked paired path.
@@ -154,7 +248,8 @@ class TestScheduleEquivalence:
         Deterministic coverage of `_both_direction_costs_paired`: the
         dominant one-R-holder/one-S-holder shape, including single-entry
         keys, local pairs (same node both sides), and keys whose T node
-        coincides with a holder, checked bitwise against the reference.
+        coincides with a holder, checked per key against the scalar
+        oracle.
         """
         num_nodes = 4
         rng = np.random.default_rng(7)
@@ -179,16 +274,7 @@ class TestScheduleEquivalence:
         )
         for location_width in (0.0, 1.0, 3.75):
             for allow_migration in (False, True):
-                with use_scatter_mode(LOOP):
-                    loop = generate_schedules(tracking, location_width, allow_migration)
-                with use_scatter_mode(FUSED):
-                    fused = generate_schedules(tracking, location_width, allow_migration)
-                assert np.array_equal(loop.direction_rs, fused.direction_rs)
-                assert np.array_equal(loop.cost, fused.cost)
-                assert np.array_equal(loop.cost_rs, fused.cost_rs)
-                assert np.array_equal(loop.cost_sr, fused.cost_sr)
-                assert np.array_equal(loop.migrate, fused.migrate)
-                assert np.array_equal(loop.dest_node, fused.dest_node)
+                assert_schedules_match_scalar(tracking, location_width, allow_migration)
 
 
 @st.composite
@@ -207,36 +293,40 @@ def partition_instance(draw):
     return part, destinations, num_buckets
 
 
+def assert_buckets_match_masks(part, buckets, destinations, num_buckets, key_sorted=False):
+    """Bucket ``b`` holds exactly the rows routed to ``b``.
+
+    Rows keep their partition order, or — with ``key_sorted`` — are
+    stably ordered by key.
+    """
+    assert len(buckets) == num_buckets
+    for bucket, batch in enumerate(buckets):
+        rows = np.flatnonzero(destinations == bucket)
+        if len(rows) == 0:
+            assert batch is None
+            continue
+        if key_sorted:
+            rows = rows[np.argsort(part.keys[rows], kind="stable")]
+        assert np.array_equal(batch.keys, part.keys[rows])
+        assert np.array_equal(batch.columns["rid"], part.columns["rid"][rows])
+
+
 class TestSplitPrimitives:
     @settings(max_examples=40, deadline=None)
     @given(partition_instance())
     def test_split_by_identical_rows_and_order(self, instance):
-        """split_by buckets agree element-for-element across modes."""
+        """split_by buckets equal a boolean-mask selection per bucket."""
         part, destinations, num_buckets = instance
-        with use_scatter_mode(LOOP):
-            loop = part.split_by(destinations, num_buckets)
-        with use_scatter_mode(FUSED):
-            fused = part.split_by(destinations, num_buckets)
-        assert len(loop) == len(fused) == num_buckets
-        for a, b in zip(loop, fused):
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert np.array_equal(a.keys, b.keys)
-                assert np.array_equal(a.columns["rid"], b.columns["rid"])
+        buckets = part.split_by(destinations, num_buckets)
+        assert_buckets_match_masks(part, buckets, destinations, num_buckets)
 
     @settings(max_examples=40, deadline=None)
     @given(partition_instance(), st.integers(0, 3))
     def test_hash_split_same_multiset_per_bucket(self, instance, seed):
-        """hash_split may reorder within a bucket but never across."""
+        """hash_split routes every row to its key's hash bucket, key-sorted."""
         part, _destinations, num_buckets = instance
-        with use_scatter_mode(LOOP):
-            loop = part.hash_split(num_buckets, seed)
-        with use_scatter_mode(FUSED):
-            fused = part.hash_split(num_buckets, seed)
-        for a, b in zip(loop, fused):
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert np.array_equal(np.sort(a.keys), np.sort(b.keys))
-                assert np.array_equal(
-                    np.sort(a.columns["rid"]), np.sort(b.columns["rid"])
-                )
+        buckets = part.hash_split(num_buckets, seed)
+        destinations = hash_partition(part.keys, num_buckets, seed)
+        assert_buckets_match_masks(
+            part, buckets, destinations, num_buckets, key_sorted=True
+        )

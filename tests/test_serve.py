@@ -147,14 +147,14 @@ class TestPlanCache:
 
 class TestWarmExecutorPool:
     def test_lease_shares_one_executor(self):
-        with WarmExecutorPool(workers=2, backend="thread") as pool:
+        with WarmExecutorPool(workers=2) as pool:
             first, second = pool.lease(), pool.lease()
             assert first is second
             assert isinstance(first, SharedExecutor)
             assert pool.leases == 2
 
     def test_close_on_lease_is_noop(self):
-        with WarmExecutorPool(workers=2, backend="thread") as pool:
+        with WarmExecutorPool(workers=2) as pool:
             lease = pool.lease()
             lease.close()
             assert lease.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
@@ -353,7 +353,7 @@ class TestRunContextReuse:
         assert calls["n"] == 2
 
     def test_warm_executor_used_and_restored(self, tables):
-        with WarmExecutorPool(workers=2, backend="thread") as pool:
+        with WarmExecutorPool(workers=2) as pool:
             cluster = Cluster(NUM_NODES)
             original = cluster.executor
             context = RunContext(executor=pool.lease())

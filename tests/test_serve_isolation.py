@@ -81,7 +81,7 @@ def solo_references(mix):
 def test_concurrent_queries_match_solo_runs(tables, mix, solo_references, workers):
     """Two waves (cold, then cached) at each worker count, all identical."""
     with QueryService(
-        tables, workers=workers, backend="thread", max_inflight=4,
+        tables, workers=workers, max_inflight=4,
         max_queue=4 * len(mix),
     ) as service:
         tickets = service.submit_many(

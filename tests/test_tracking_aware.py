@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from repro.joins.tracking_aware import (
     TrackingAwareHashJoin,
     rid_width,
 )
+from repro.workloads.synthetic import hot_key_workload
 
-from conftest import assert_same_output, make_tables
+from conftest import assert_same_output, canonical_output, make_tables
 
 
 class TestRidWidth:
@@ -97,3 +100,56 @@ class TestTrackingAware:
         )
         result = TrackingAwareHashJoin().run(small_cluster, table_r, table_s)
         assert result.output_rows == 0
+
+    @pytest.mark.parametrize(
+        "num_nodes,rows,by_class,by_link,local_bytes,digest",
+        [
+            (
+                1, 664_518, {}, {}, 161_658.0,
+                "ee610cf49faf1f178d6835454d1ae0169632df686a358994efcb1f757e24ddd1",
+            ),
+            (
+                4, 178_849,
+                {MessageClass.RIDS: 27_116.0, MessageClass.R_TUPLES: 134_520.0},
+                {
+                (0, 1): 13740.0,
+                (0, 2): 12959.0,
+                (0, 3): 14589.0,
+                (1, 0): 13142.0,
+                (1, 2): 12809.0,
+                (1, 3): 13330.0,
+                (2, 0): 13480.0,
+                (2, 1): 13876.0,
+                (2, 3): 14102.0,
+                (3, 0): 13534.0,
+                (3, 1): 13437.0,
+                (3, 2): 12638.0,
+            },
+                None,
+                "0bab42b226d27ec275399fbf5ba0681a9474672a424d307c79cb1311d5017641",
+            ),
+        ],
+    )
+    def test_hot_key_rid_dedup_pinned(
+        self, num_nodes, rows, by_class, by_link, local_bytes, digest
+    ):
+        """Ledger and rows of an output-amplified hot-key join stay pinned.
+
+        Hundreds of thousands of rid pairs per scheduling node go
+        through the (node, pos, wide node) dedup; the expected values
+        are those of the row-wise ``np.unique(..., axis=0)`` dedup the
+        packed-key form replaced.
+        """
+        workload = hot_key_workload(
+            num_nodes=num_nodes, tuples_per_table=1500, distinct_keys=150, seed=3
+        )
+        result = TrackingAwareHashJoin().run(
+            workload.cluster, workload.table_r, workload.table_s, JoinSpec()
+        )
+        assert result.output_rows == rows
+        assert result.traffic.by_class == by_class
+        assert result.traffic.by_link == by_link
+        if local_bytes is not None:
+            assert result.traffic.local_bytes == local_bytes
+        output = np.ascontiguousarray(canonical_output(result))
+        assert hashlib.sha256(output.tobytes()).hexdigest() == digest
